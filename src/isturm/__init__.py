@@ -17,8 +17,7 @@ from .problem import (FullProblem, Polynomial, ProblemL, SigmaFunction,
 from .reconstruct import (ContourSpec, ReconstructionResult, choose_contour,
                           dphi_K_dx, invert_spectral_data, phi_K_of_lambda,
                           reconstruct_r1, reconstruct_r2, reconstruct_sigma)
-from .regular import (build_p2, check_r2_shift, estimate_bN2, robin_constants,
-                      sigma_to_q)
+from .regular import build_p2, check_r2_shift, estimate_bN2, robin_constants
 from .spectral import (EigenRecord, SpectralData, WeylPartialFraction,
                        detect_M1, eval_partial_fraction, group_multiplicities,
                        reduce_weyl, spectral_data_from_json,

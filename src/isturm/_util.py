@@ -28,20 +28,6 @@ def sqrt_lambda(lam):
     return np.where(flip, -r, r)
 
 
-def sin_pi(z):
-    """sin(pi z) with integer argument reduction for large real parts."""
-    z = np.asarray(z, dtype=complex)
-    m = np.round(z.real)
-    return np.where(m.astype(int) % 2 == 0, 1.0, -1.0) * np.sin(PI * (z - m))
-
-
-def cos_pi(z):
-    """cos(pi z) with integer argument reduction."""
-    z = np.asarray(z, dtype=complex)
-    m = np.round(z.real)
-    return np.where(m.astype(int) % 2 == 0, 1.0, -1.0) * np.cos(PI * (z - m))
-
-
 # ---------------------------------------------------------------------------
 # Taylor tower of cos(sqrt(w)):  c_j(w) = (1/j!) (d/dw)^j cos(sqrt(w)).
 # Closed forms in s = sqrt(w) are even in s; a series branch covers |s| < 1/2.

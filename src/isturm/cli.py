@@ -4,10 +4,8 @@ float formatting, complex numbers as [re, im] pairs) written atomically."""
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
-
-import numpy as np
 
 from ._util import cplx, read_json, write_json_atomic
 from .errors import (AmbiguousOffset, CountMismatch, FitResidualTooLarge,
@@ -29,13 +27,6 @@ EXIT_SINGULAR = 5
 EXIT_FIT = 6
 
 DEFAULT_TOL = {"sigma_l2": 0.1, "r1": 5e-3, "r2": 5e-3}
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("ISTURM_THREADS")
-    return int(env) if env else 1
 
 
 def _reconstruction_json(res) -> dict:
@@ -86,15 +77,11 @@ def cmd_invert(args) -> int:
             from .refine import invert_refined, rebuild_sigma_tail, recover_q
             ref = invert_refined(sd, K=args.K, n_x=args.nx, N=N, passes=1)
             res = ref.base
-            q, _ = recover_q(ref.sigma, ref.x_grid, ref.base.K)
-            sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid,
-                                                     ref.base.K)
-            res.sigma = sigma_fixed
-            res.r1, res.r2 = ref.r1, ref.r2
-            res.diagnostics.update(ref.diagnostics)
+            q, _ = recover_q(ref.sigma, ref.x_grid, res.K)
+            sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid, res.K)
+            out = dataclasses.replace(ref, sigma=sigma_fixed)
         else:
-            res = invert_spectral_data(sd, K=args.K, n_x=args.nx, N=N,
-                                       threads=_threads(args))
+            res = out = invert_spectral_data(sd, K=args.K, n_x=args.nx, N=N)
     except AmbiguousOffset as exc:
         diag_payload["error"] = str(exc)
         code = EXIT_AMBIGUOUS
@@ -105,10 +92,10 @@ def cmd_invert(args) -> int:
         diag_payload["error"] = str(exc)
         code = EXIT_FIT
     else:
-        payload = _reconstruction_json(res)
+        payload = _reconstruction_json(out)
         if args.regular:
             payload["q"] = [cplx(v) for v in q]
-            payload["r2_check"] = check_r2_shift(res.r2, res.r1, sig_pi).to_json()
+            payload["r2_check"] = check_r2_shift(out.r2, out.r1, sig_pi).to_json()
             payload["sigma_pi"] = cplx(sig_pi)
         try:
             write_json_atomic(args.out, payload)
@@ -118,8 +105,8 @@ def cmd_invert(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"wrote {args.out}: M1={res.m1}, N={res.N}, "
-              f"r1 fit {res.diagnostics['r1_fit_residual']:.2e}, "
-              f"r2 fit {res.diagnostics['r2_fit_residual']:.2e}")
+              f"r1 fit {out.diagnostics['r1_fit_residual']:.2e}, "
+              f"r2 fit {out.diagnostics['r2_fit_residual']:.2e}")
         return EXIT_OK
     if args.diag:
         try:
@@ -205,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classical-potential transfer on output")
         sp.add_argument("--out", default=None, help="output JSON path")
         sp.add_argument("--diag", default=None, help="diagnostics JSON path")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (env ISTURM_THREADS)")
 
     sp = sub.add_parser("forward", help="problem.json -> spectral_data.json")
     common(sp)

@@ -173,6 +173,20 @@ class MainEquationContext:
             out.append((vals, dvals))
         return out
 
+    def g_vectors(self, x: float):
+        """G_j[k] = sum of the column terms alpha phi_model(dorder, x, lam_k) of
+        family j, so that d/dx of column k of block (i, j) is phi~_i(x) G_j[k]."""
+        Gs = []
+        for j in (0, 1):
+            ta = self.col_term_arrays[j]
+            G = np.zeros(self.K, dtype=complex)
+            for dord in np.unique(ta["dord"]) if ta["k"].size else []:
+                sel = ta["dord"] == dord
+                pts = self.fams[j]["lam_pt"][ta["k"][sel]]
+                np.add.at(G, ta["k"][sel], ta["w"][sel] * phi_model(int(dord), x, pts))
+            Gs.append(G)
+        return Gs
+
     def q_blocks(self, x: float):
         """Q blocks and their x-derivatives at x, each (K, K)."""
         K = self.K
@@ -196,15 +210,7 @@ class MainEquationContext:
 
         (pt0, dpt0), (pt1, dpt1) = self.phi_tilde(x)
         dQ = {}
-        Gs = []
-        for j in (0, 1):
-            ta = self.col_term_arrays[j]
-            G = np.zeros(K, dtype=complex)
-            for dord in np.unique(ta["dord"]) if ta["k"].size else []:
-                sel = ta["dord"] == dord
-                pts = self.fams[j]["lam_pt"][ta["k"][sel]]
-                np.add.at(G, ta["k"][sel], ta["w"][sel] * phi_model(int(dord), x, pts))
-            Gs.append(G)
+        Gs = self.g_vectors(x)
         for i in (0, 1):
             frow = pt0 if i == 0 else pt1
             for j in (0, 1):
@@ -325,32 +331,19 @@ def dump_system(system: MainEquationSystem, psi: np.ndarray, cond: float, path):
 
 
 def solve_on_grid(sd: SpectralData, md: ModelData, K: int, n_x: int = 512,
-                  ctx: MainEquationContext | None = None,
-                  threads: int = 1) -> PhiTable:
-    """Build, factor and solve the system at every node of the uniform grid.
-
-    Grid points are independent; threads > 1 maps them over a thread pool
-    (assembly and LAPACK release the GIL for the bulk of the work)."""
+                  ctx: MainEquationContext | None = None) -> PhiTable:
+    """Build, factor and solve the system at every node of the uniform grid."""
     if ctx is None:
         ctx = MainEquationContext(sd, md, K)
     xs = np.linspace(0.0, PI, n_x)
     phi = np.empty((ctx.K, 2, n_x), dtype=complex)
     dphi = np.empty((ctx.K, 2, n_x), dtype=complex)
     cond = np.empty(n_x)
-
-    def work(ix):
+    for ix in range(n_x):
         try:
-            return ix, solve_at_x(ctx, float(xs[ix]))
+            p0, p1, d0, d1, c = solve_at_x(ctx, float(xs[ix]))
         except Singular as exc:
             raise Singular(f"{exc} (grid node {ix})") from exc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_x)))
-    else:
-        results = [work(ix) for ix in range(n_x)]
-    for ix, (p0, p1, d0, d1, c) in results:
         phi[:, 0, ix], phi[:, 1, ix] = p0, p1
         dphi[:, 0, ix], dphi[:, 1, ix] = d0, d1
         cond[ix] = c

@@ -139,16 +139,7 @@ def dphi_K_dx(table: PhiTable, sd: SpectralData, md: ModelData,
     phi0, phi1, dphi0, dphi1 = _phi_values_at(table, ctx, x)
     B0, B1 = _series_matrix(ctx, x, lam_s)
     # dB[i][s, k] = phi_model(x, lam_s) * G_i[k]
-    G = []
-    for j in (0, 1):
-        ta = ctx.col_term_arrays[j]
-        g = np.zeros(ctx.K, dtype=complex)
-        if ta["k"].size:
-            for dord in np.unique(ta["dord"]):
-                sel = ta["dord"] == dord
-                pts = ctx.fams[j]["lam_pt"][ta["k"][sel]]
-                np.add.at(g, ta["k"][sel], ta["w"][sel] * phi_model(int(dord), x, pts))
-        G.append(g)
+    G = ctx.g_vectors(x)
     f0 = phi_model(0, x, lam_s)
     out = phi_model_dx(0, x, lam_s) \
         - (f0 * (G[0] @ phi0) + B0 @ dphi0 - f0 * (G[1] @ phi1) - B1 @ dphi1)
@@ -175,9 +166,43 @@ def _clusters(ctx: MainEquationContext, fam: int):
             for h, m in zip(fam_sd.heads, fam_sd.sizes)]
 
 
-def _conv(a: np.ndarray, b: np.ndarray, q: int) -> complex:
-    """sum_{p=0}^{q} a[p] b[q-p]."""
-    return complex(np.sum(a[: q + 1] * b[q::-1]))
+_BOTH = ((0, 1.0), (1, -1.0))   # (family, sign): data poles minus model poles
+_DATA = ((0, 1.0),)
+
+
+def _residue_sum(ctx: MainEquationContext, fams, tower, x, values, lam=None,
+                 offset: float = 0.0, radius: float = np.inf):
+    """The residue sum behind every reconstruction formula.
+
+    For each cluster (head h, size m, pole lam_h, weights a_j) of the given
+    (family, sign) pairs with |lam_h| < radius, the principal-part
+    coefficients are
+
+        c_t = sum_{j>=t} a_j sum_{p<=j-t} tower(p, x, lam_h) values[h+j-t-p, fam],
+
+    with tower phi_model or phi_model_dx and values carrying the family on
+    axis 1.  Without lam the result is sum sign (c_0 - offset a_0), the
+    residues against hat M; with lam it is
+    sum sign sum_t c_t / (lam - lam_h)^(t+1), the residues against
+    M(mu) / (lam - mu).
+    """
+    total = 0j
+    for fam, sign in fams:
+        for h, m, lam_h, alphas in _clusters(ctx, fam):
+            if abs(lam_h) >= radius:
+                continue
+            phit = [tower(p, x, lam_h) for p in range(m)]
+            vals = values[h:h + m, fam]
+            for t in range(m if lam is not None else 1):
+                c = 0j
+                for j in range(t, m):
+                    c += alphas[j] * sum(phit[p] * vals[j - t - p]
+                                         for p in range(j - t + 1))
+                if lam is None:
+                    total += sign * (c - offset * alphas[0])
+                else:
+                    total += sign * c / (lam - lam_h) ** (t + 1)
+    return total
 
 
 @dataclass
@@ -200,22 +225,7 @@ def reconstruct_sigma(table: PhiTable, sd: SpectralData, md: ModelData,
     K = ctx.K
     xs = table.x_grid
     n_x = len(xs)
-    total = np.zeros(n_x, dtype=complex)
-    for fam, sign in ((0, 1.0), (1, -1.0)):
-        for h, m, lam_h, alphas in _clusters(ctx, fam):
-            phiK = table.phi[h:h + m, fam, :]             # (m, n_x)
-            phit = np.stack([phi_model(p, xs, lam_h) for p in range(m)])
-            term = np.zeros(n_x, dtype=complex)
-            for j in range(m):
-                if alphas[j] == 0:
-                    continue
-                conv = np.zeros(n_x, dtype=complex)
-                for p in range(j + 1):
-                    conv += phit[p] * phiK[j - p]
-                term += alphas[j] * conv
-            term -= 0.5 * alphas[0]
-            total += sign * term
-    raw = -2.0 * total
+    raw = -2.0 * _residue_sum(ctx, _BOTH, phi_model, xs, table.phi, offset=0.5)
 
     # endpoint repair: the series limit at pi carries a 2*d offset (d the top
     # padded coefficient of r2); extrapolate over the truncation bump
@@ -262,20 +272,9 @@ def _pole_sums_r(ctx: MainEquationContext, table: PhiTable, lam_s: np.ndarray,
     with cluster derivative terms, and S1 the same with the quasi-derivative
     values in place of phiK (None when quasi_pi is None).
     """
-    ix = len(table.x_grid) - 1
-    E = np.zeros(len(lam_s), dtype=complex)
-    S1 = np.zeros(len(lam_s), dtype=complex) if quasi_pi is not None else None
-    for h, m, lam_h, alphas in _clusters(ctx, 0):
-        phitp = np.array([phi_model_dx(p, PI, lam_h) for p in range(m)])
-        phiK = table.phi[h:h + m, 0, ix]
-        dl = lam_s - lam_h
-        for t in range(m):
-            c_e = sum(alphas[j] * _conv(phitp, phiK, j - t) for j in range(t, m))
-            E += c_e / dl ** (t + 1)
-            if S1 is not None:
-                qv = quasi_pi[h:h + m]
-                c_q = sum(alphas[j] * _conv(phitp, qv, j - t) for j in range(t, m))
-                S1 += c_q / dl ** (t + 1)
+    E = _residue_sum(ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_s)
+    S1 = None if quasi_pi is None else \
+        _residue_sum(ctx, _DATA, phi_model_dx, PI, quasi_pi[:, None], lam=lam_s)
     return E, S1
 
 
@@ -283,17 +282,8 @@ def _bc_constant_sum(ctx: MainEquationContext, table: PhiTable) -> complex:
     """S2 = sum over both families of alpha-weighted (phit phiK - 1) at pi.
 
     The boundary constant of the Robin case is b0 = -S2."""
-    ix = len(table.x_grid) - 1
-    S2 = 0j
-    for fam, sign in ((0, 1.0), (1, -1.0)):
-        for h, m, lam_h, alphas in _clusters(ctx, fam):
-            phit = np.array([phi_model(p, PI, lam_h) for p in range(m)])
-            phiK = table.phi[h:h + m, fam, ix]
-            for j in range(m):
-                if alphas[j] == 0:
-                    continue
-                S2 += sign * alphas[j] * (_conv(phit, phiK, j) - (1.0 if j == 0 else 0.0))
-    return complex(S2)
+    return complex(_residue_sum(ctx, _BOTH, phi_model, PI, table.phi[:, :, -1],
+                                offset=1.0))
 
 
 def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
@@ -392,7 +382,7 @@ def weyl_difference_truncated(ctx: MainEquationContext, mu: np.ndarray) -> np.nd
     """hat M^K(mu): the K-truncated data partial fraction minus the model one."""
     mu = np.asarray(mu, dtype=complex)
     out = np.zeros_like(mu)
-    for fam, sign in ((0, 1.0), (1, -1.0)):
+    for fam, sign in _BOTH:
         for h, m, lam_h, alphas in _clusters(ctx, fam):
             dl = mu - lam_h
             for j in range(m):
@@ -418,17 +408,8 @@ def sigma_contour_residue(table, sd, md, contour: ContourSpec, x: float,
     if ctx is None:
         ctx = MainEquationContext(sd, md, table.K)
     ix = _grid_index(table, x)
-    total = 0j
-    for fam, sign in ((0, 1.0), (1, -1.0)):
-        for h, m, lam_h, alphas in _clusters(ctx, fam):
-            if abs(lam_h) >= contour.radius:
-                continue
-            phiK = table.phi[h:h + m, fam, ix]
-            phit = np.array([phi_model(p, x, lam_h) for p in range(m)])
-            for j in range(m):
-                if alphas[j] == 0:
-                    continue
-                total += sign * alphas[j] * (_conv(phit, phiK, j) - (0.5 if j == 0 else 0.0))
+    total = _residue_sum(ctx, _BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
+                         radius=contour.radius)
     return complex(-2.0 * total)
 
 
@@ -449,17 +430,8 @@ def r1_contour_residue(table, sd, md, contour: ContourSpec, lam: complex,
     """-(1/2 pi i) oint phit'(pi) phiK(pi) M(mu) / (lam - mu) dmu as residues."""
     if ctx is None:
         ctx = MainEquationContext(sd, md, table.K)
-    ix = len(table.x_grid) - 1
-    total = 0j
-    for h, m, lam_h, alphas in _clusters(ctx, 0):
-        if abs(lam_h) >= contour.radius:
-            continue
-        phitp = np.array([phi_model_dx(p, PI, lam_h) for p in range(m)])
-        phiK = table.phi[h:h + m, 0, ix]
-        dl = lam - lam_h
-        for t in range(m):
-            c = sum(alphas[j] * _conv(phitp, phiK, j - t) for j in range(t, m))
-            total += c / dl ** (t + 1)
+    total = _residue_sum(ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam,
+                         radius=contour.radius)
     return complex(-total)
 
 
@@ -485,27 +457,10 @@ def r2_contour_residue(table, sd, md, contour: ContourSpec, lam: complex,
         ctx = MainEquationContext(sd, md, table.K)
     ix = len(table.x_grid) - 1
     quasi = table.dphi[:, 0, ix] - sigma_pi_raw * table.phi[:, 0, ix]
-    t_quasi = 0j
-    for h, m, lam_h, alphas in _clusters(ctx, 0):
-        if abs(lam_h) >= contour.radius:
-            continue
-        phitp = np.array([phi_model_dx(p, PI, lam_h) for p in range(m)])
-        qv = quasi[h:h + m]
-        dl = lam - lam_h
-        for t in range(m):
-            c = sum(alphas[j] * _conv(phitp, qv, j - t) for j in range(t, m))
-            t_quasi += c / dl ** (t + 1)
-    t_bc = 0j
-    for fam, sign in ((0, 1.0), (1, -1.0)):
-        for h, m, lam_h, alphas in _clusters(ctx, fam):
-            if abs(lam_h) >= contour.radius:
-                continue
-            phit = np.array([phi_model(p, PI, lam_h) for p in range(m)])
-            phiK = table.phi[h:h + m, fam, ix]
-            for j in range(m):
-                if alphas[j] == 0:
-                    continue
-                t_bc += sign * alphas[j] * (_conv(phit, phiK, j) - (1.0 if j == 0 else 0.0))
+    t_quasi = _residue_sum(ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam,
+                           radius=contour.radius)
+    t_bc = _residue_sum(ctx, _BOTH, phi_model, PI, table.phi[:, :, ix], offset=1.0,
+                        radius=contour.radius)
     return complex(t_quasi), complex(-t_bc)
 
 
@@ -544,8 +499,8 @@ class ReconstructionResult:
 
 
 def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
-                         N: int | None = None, m1: int | None = None,
-                         threads: int = 1) -> ReconstructionResult:
+                         N: int | None = None,
+                         m1: int | None = None) -> ReconstructionResult:
     """Steps 3..10 of the reconstruction: detect M1, build the model problem,
     solve the main equation on the grid, apply the reconstruction formulas."""
     K = sd.K if K is None else K
@@ -561,7 +516,7 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
         raise UnsupportedCase("reconstruction implements the deg(r1) >= deg(r2) case only")
     md = ModelData(m1)
     ctx = MainEquationContext(sd, md, K)
-    table = solve_on_grid(sd, md, K, n_x=n_x, ctx=ctx, threads=threads)
+    table = solve_on_grid(sd, md, K, n_x=n_x, ctx=ctx)
     contour = ContourSpec(N) if N is not None else choose_contour(sd, md, K, ctx.xi)
     sigma = reconstruct_sigma(table, sd, md, ctx=ctx)
     r1, diag1 = reconstruct_r1(table, sd, md, contour, ctx=ctx)

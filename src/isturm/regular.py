@@ -4,8 +4,8 @@ and the transfer between the antiderivative form and the classical q form.
 
 The classical problem -y'' + q y = lam y with conditions on y' is equivalent
 to the quasi-derivative problem with sigma(x) = int_0^x q, r1 unchanged and
-r2 shifted by sigma(pi) r1; the recovery direction undoes the shift and
-differentiates sigma.
+r2 shifted by sigma(pi) r1; the recovery direction undoes the shift here and
+differentiates sigma with refine.recover_q.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from .model import ModelData
 from .problem import Polynomial
 from .reconstruct import SigmaResult, _bc_constant_sum, reconstruct_sigma
 from .spectral import SpectralData
-
-PI = np.pi
 
 
 def estimate_bN2(m1_fn, N1: int, rho_mags=None) -> complex:
@@ -51,35 +49,6 @@ def build_p2(zeros, bN2: complex) -> Polynomial:
     for z in zeros:
         coeffs = np.convolve(coeffs, np.array([-complex(z), 1.0], dtype=complex))
     return Polynomial(complex(bN2) * coeffs)
-
-
-def sigma_to_q(sigma_values: np.ndarray, x_grid: np.ndarray | None = None,
-               smooth: float = 0.0):
-    """Differentiate a uniform-grid sigma: q = sigma'.
-
-    Five-point central stencils inside, one-sided fourth-order at the edges;
-    an optional moving-average pass (window from `smooth`) tames noisy data.
-    Returns (q_values, sigma_at_pi).
-    """
-    sig = np.asarray(sigma_values, dtype=complex)
-    n = len(sig)
-    if x_grid is None:
-        x_grid = np.linspace(0.0, PI, n)
-    h = x_grid[1] - x_grid[0]
-    if smooth > 0:
-        w = max(int(round(smooth / h)) | 1, 1)
-        if w > 1:
-            kernel = np.ones(w) / w
-            pad = np.concatenate([sig[:1].repeat(w // 2), sig, sig[-1:].repeat(w // 2)])
-            sig = np.convolve(pad, kernel, mode="valid")
-    q = np.empty_like(sig)
-    q[2:-2] = (sig[:-4] - 8 * sig[1:-3] + 8 * sig[3:-1] - sig[4:]) / (12 * h)
-    fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    for i in (0, 1):
-        q[i] = np.sum(fwd * sig[i:i + 5])
-    for i in (n - 2, n - 1):
-        q[i] = -np.sum(fwd * sig[i:i - 5:-1])
-    return q, complex(np.asarray(sigma_values, dtype=complex)[-1])
 
 
 def check_r2_shift(r2: Polynomial, r1: Polynomial, sigma_pi: complex) -> Polynomial:

@@ -10,12 +10,9 @@ import time
 import numpy as np
 
 from .forward import forward_spectral_data, weyl_M1
-from .model import ModelData
 from .problem import FullProblem, Polynomial
 from .reconstruct import invert_spectral_data
-from .regular import check_r2_shift, estimate_bN2, robin_constants, sigma_to_q
-
-PI = np.pi
+from .regular import check_r2_shift, estimate_bN2
 
 
 def sigma_l2_error(x_grid, values, sigma_fn) -> float:

@@ -163,9 +163,8 @@ def test_reconstruct_r_model_fixed_point():
         assert np.max(np.abs(r2.as_array())) < 1e-10
 
 
-def test_contour_residue_vs_quadrature_sigma(perturbed20):
-    sd, md, ctx, table = perturbed20
-    contour = ContourSpec(4)
+def _check_sigma_residue(data, contour):
+    sd, md, ctx, table = data
     for ix in (32, 80):
         x = table.x_grid[ix]
         res = sigma_contour_residue(table, sd, md, contour, x, ctx=ctx)
@@ -173,11 +172,16 @@ def test_contour_residue_vs_quadrature_sigma(perturbed20):
         assert abs(res - quad) < 1e-6
 
 
-def test_contour_residue_vs_quadrature_r1_r2(perturbed20):
-    # the r-integrands grow like exp(2 pi |Im rho|) on the circle, so the
-    # 256-node match is meaningful only at small contour index
-    sd, md, ctx, table = perturbed20
-    contour = ContourSpec(3)
+def test_contour_residue_vs_quadrature_sigma(perturbed20):
+    _check_sigma_residue(perturbed20, ContourSpec(4))
+
+
+def test_contour_residue_vs_quadrature_sigma_clustered(clustered20):
+    _check_sigma_residue(clustered20[1], ContourSpec(1))
+
+
+def _check_r_residue(data, contour):
+    sd, md, ctx, table = data
     sig = reconstruct_sigma(table, sd, md, ctx=ctx)
     lam = contour.radius + 8.0 + 0.5j
     res = r1_contour_residue(table, sd, md, contour, lam, ctx=ctx)
@@ -189,6 +193,18 @@ def test_contour_residue_vs_quadrature_r1_r2(perturbed20):
                                            sig.sigma_pi_raw, ctx=ctx)
     assert abs(res_q - quad_q) < 1e-6
     assert abs(res_b - quad_b) < 1e-6
+
+
+def test_contour_residue_vs_quadrature_r1_r2(perturbed20):
+    # the r-integrands grow like exp(2 pi |Im rho|) on the circle, so the
+    # 256-node match is meaningful only at small contour index
+    _check_r_residue(perturbed20, ContourSpec(3))
+
+
+def test_contour_residue_vs_quadrature_r1_r2_clustered(clustered20):
+    # covers the t >= 1 principal-part terms (t = 2 for the triple); at
+    # N >= 2 rounding on the circle swamps the triple's r2 term
+    _check_r_residue(clustered20[1], ContourSpec(1))
 
 
 def test_prefit_rational_vanishes_at_model_poles():

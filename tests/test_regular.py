@@ -4,8 +4,8 @@ from scipy.optimize import brentq
 
 from isturm import (FullProblem, ModelData, Polynomial, ProblemL,
                     SigmaPolynomialInX, SigmaZero, build_p2, estimate_bN2,
-                    forward_spectral_data, robin_constants, sigma_to_q,
-                    solve_on_grid, weyl_M1)
+                    forward_spectral_data, robin_constants, solve_on_grid,
+                    weyl_M1)
 from isturm.errors import FitUnstable
 from isturm.maineq import MainEquationContext
 from isturm.refine import invert_refined, recover_q, smooth_grid
@@ -42,25 +42,6 @@ def test_build_p2_cases():
     np.testing.assert_allclose(build_p2([], 2.0).as_array(), [2])
     np.testing.assert_allclose(build_p2([1, -1], 1.0).as_array(), [-1, 0, 1])
     np.testing.assert_allclose(build_p2([2], 3.0).as_array(), [-6, 3])
-
-
-def test_sigma_to_q_linear():
-    xs = np.linspace(0, PI, 257)
-    q, sig_pi = sigma_to_q(xs.astype(complex), xs)
-    np.testing.assert_allclose(np.real(q), 1.0, atol=1e-10)
-    assert abs(sig_pi - PI) < 1e-14
-
-
-def test_sigma_to_q_sine():
-    xs = np.linspace(0, PI, 1024)
-    q, _ = sigma_to_q(np.sin(xs).astype(complex), xs)
-    assert np.max(np.abs(q - np.cos(xs))) < 1e-3
-
-
-def test_sigma_to_q_zero():
-    xs = np.linspace(0, PI, 64)
-    q, sig_pi = sigma_to_q(np.zeros(64, dtype=complex), xs)
-    assert np.max(np.abs(q)) < 1e-14 and sig_pi == 0
 
 
 def test_check_r2_shift():
@@ -126,6 +107,18 @@ def test_recover_q_on_clean_sigma():
     q, _ = recover_q(np.sin(xs) + 0j, xs, K=40)
     inner = slice(int(0.05 * 513), int(0.95 * 513))
     assert np.max(np.abs(q[inner] - np.cos(xs[inner]))) < 1e-2
+
+
+def test_recover_q_linear():
+    xs = np.linspace(0, PI, 257)
+    q, _ = recover_q(xs.astype(complex), xs, K=40)
+    assert np.max(np.abs(q - 1.0)) < 1e-12
+
+
+def test_recover_q_zero():
+    xs = np.linspace(0, PI, 64)
+    q, _ = recover_q(np.zeros(64, dtype=complex), xs, K=40)
+    assert np.max(np.abs(q)) < 1e-12
 
 
 def test_invert_refined_passes_zero_matches_plain(poly_sd40):
