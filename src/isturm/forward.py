@@ -353,8 +353,11 @@ def _polish_simple(f, roots, iters=30):
     f1 = f(z1)
     for _ in range(iters):
         denom = f1 - f0
+        # a secant flat to rounding (f1 == f0 although z1 != z0) has no
+        # slope to follow: stay put instead of stepping by f1 dz / 1e-300
+        flat = denom == 0
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        z2 = z1 - f1 * (z1 - z0) / denom
+        z2 = np.where(flat, z1, z1 - f1 * (z1 - z0) / denom)
         z0, f0 = z1, f1
         z1 = z2
         f1 = f(z1)
@@ -455,13 +458,14 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
         sgn = np.sign(vals)
         flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
         lo, hi = lam_grid[flips].copy(), lam_grid[flips + 1].copy()
+        vl = vals[flips]  # delta(lo), carried along instead of recomputed
         for _ in range(52):
             mid = 0.5 * (lo + hi)
             vm = np.real(delta(mid))
-            vl = np.real(delta(lo))
             left = vl * vm <= 0
             hi = np.where(left, mid, hi)
             lo = np.where(left, lo, mid)
+            vl = np.where(left, vl, vm)
         roots = list(0.5 * (lo + hi).astype(complex))
 
     # master region count check
@@ -541,19 +545,29 @@ def weight_numbers(prob: ProblemL, eigs: list[EigenRecord], n_x: int = 1024,
     y0, yq0 = _psi_zero_batch(prob, pts, n_x)
     Mv = (y0 / yq0).reshape(len(eigs), n_quad)
 
+    # cross-check data of every simple real pole: psi at lam - h, lam + h and
+    # lam, propagated in one batch
+    steps = {k: 1e-5 * max(1.0, abs(rec.lam)) for k, rec in enumerate(eigs)
+             if rec.multiplicity == 1 and abs(rec.lam.imag) < 1e-9}
+    cross = {}
+    if steps:
+        lam_s = np.array([[eigs[k].lam - h, eigs[k].lam + h, eigs[k].lam]
+                          for k, h in steps.items()], dtype=complex)
+        y0s, yq0s = _psi_zero_batch(prob, lam_s.ravel(), n_x)
+        cross = {k: (h, y0s[3 * i:3 * i + 3], yq0s[3 * i:3 * i + 3])
+                 for i, (k, h) in enumerate(steps.items())}
+
     out: list[EigenRecord] = []
     for k, rec in enumerate(eigs):
         z = lam_c[k] + radii[k] * th
         alphas = []
         for j in range(rec.multiplicity):
             alphas.append(complex(np.mean(Mv[k] * (z - lam_c[k]) ** (j + 1))))
-        if rec.multiplicity == 1 and abs(rec.lam.imag) < 1e-9:
+        if k in cross:
             # cross-check against the simple-pole formula
-            h = 1e-5 * max(1.0, abs(rec.lam))
-            lam_s = np.array([rec.lam - h, rec.lam + h, rec.lam], dtype=complex)
-            y0s, yq0s = _psi_zero_batch(prob, lam_s, n_x)
-            dprime = (-yq0s[1] + yq0s[0]) / (2 * h)
-            alt = y0s[2] / (-dprime)
+            h, y0k, yq0k = cross[k]
+            dprime = (-yq0k[1] + yq0k[0]) / (2 * h)
+            alt = y0k[2] / (-dprime)
             if abs(alt - alphas[0]) > 1e-4 * max(1.0, abs(alphas[0])):
                 warnings.warn(
                     f"weight number cross-check mismatch at lambda={rec.lam:.6g}: "

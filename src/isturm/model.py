@@ -69,10 +69,13 @@ def model_phi_dx(x, lam, j: int = 0):
 
 def kernel_D(x, lam, mu):
     """D(x, lam, mu), quotient branch away from the diagonal, first-order
-    Taylor around the diagonal inside |lam - mu| <= 1e-6 (1 + |lam|)."""
+    Taylor around the diagonal inside |lam - mu| <= 1e-6 (1 + |lam|).
+
+    The square roots, sines and cosines run on the unbroadcast inputs, so an
+    outer call kernel_D(x, lam[:, None], mu[None, :]) costs O(n + m)
+    transcendentals; only the products and the branch choice are (n, m)."""
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
-    lam, mu = np.broadcast_arrays(lam, mu)
     rl = np.asarray(sqrt_lambda(lam))
     rm = np.asarray(sqrt_lambda(mu))
     dd = lam - mu

@@ -113,3 +113,16 @@ def test_ambiguous_offset_exit_code(tmp_path):
     assert code == 4
     diag = json.loads((tmp_path / "diag.json").read_text())
     assert "error" in diag
+
+
+def test_package_exports_are_the_public_api():
+    # __all__ names the public functions and classes, not the submodules
+    import types
+
+    import isturm
+    assert len(set(isturm.__all__)) == len(isturm.__all__)
+    for name in isturm.__all__:
+        assert not isinstance(getattr(isturm, name), types.ModuleType), name
+    public = {name for name, value in vars(isturm).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(isturm.__all__)

@@ -7,7 +7,7 @@ from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
                     phi_at, weight_numbers, weyl_M)
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
-from isturm.forward import _psi_zero_batch
+from isturm.forward import _polish_simple, _psi_zero_batch
 
 PI = np.pi
 
@@ -143,6 +143,23 @@ def test_find_eigenvalues_robin_vs_bisection():
             brentq(f, 1.0 + 1e-9, 1.5, xtol=1e-14) ** 2,
             brentq(f, 2.0 + 1e-9, 2.5, xtol=1e-14) ** 2]
     np.testing.assert_allclose([r.lam for r in eigs], want, atol=1e-8)
+
+
+def test_polish_simple_flat_secant_takes_no_step():
+    # near r = 2 the function is a staircase, flat over the first secant pair
+    # (z0 and z1 = z0 (1 + 1e-7) + 1e-7 give f0 == f1 != 0); like char_delta
+    # it raises on a point far off.  A second, smooth root must still polish.
+    q, r = 1e-6, 2.0
+
+    def f(z):
+        if np.any(np.abs(z) > 1e6):
+            raise NonFiniteState("secant step left the region")
+        stair = 9.77e-15 + q * np.round((z - r).real / q)
+        return np.where(z.real < 3.5, stair, (z - 5.0) * (z + 1.0))
+
+    z = _polish_simple(f, [r + 1e-9, 5.1])
+    assert abs(z[0] - r) < q
+    assert abs(z[1] - 5.0) < 1e-13
 
 
 def test_weight_numbers_model_m1():

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from isturm import maineq
 from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, build_system,
                     integrate_solution, recover_phi, solve_on_grid,
                     solve_system, xi_chi)
+from isturm._blas import openblas_handles
 from isturm.errors import Singular
 from isturm.maineq import MainEquationContext, solve_at_x
 from isturm.model import q_coefficients
@@ -109,8 +113,65 @@ def test_solve_system_singular_raises():
     bad = sys.__class__(K=sys.K, x=sys.x, psi_tilde=sys.psi_tilde,
                         H=-np.eye(4) + 1e-15 * sys.H,
                         dpsi_tilde=sys.dpsi_tilde, dH=sys.dH)
+    # E + H is exactly zero here: the zero pivot is a Singular, with no SciPy
+    # LinAlgWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Singular):
+            solve_system(bad)
+
+
+def test_condition_estimate_vs_exact(step_sd40):
+    # the LU-based 1-norm estimate is a lower bound on the exact condition
+    # number and, on these systems, within a factor of 10 of it
+    _, step = step_sd40
+    md0 = ModelData(0)
+    cases = [(_perturbed_data(K), x) for K in (1, 5, 8) for x in (0.3, 1.0, 2.0, PI)]
+    cases += [((step, md0), x) for x in (PI / 3, PI / 2, 2.9)]
+    cases += [((ModelData(1).spectral_data(8), ModelData(1)), 1.3)]
+    for (sd, md), x in cases:
+        sys = build_system(sd, md, x, K=min(sd.K, 40))
+        _, _, est = solve_system(sys)
+        exact = np.linalg.cond(np.eye(2 * sys.K) + sys.H, 1)
+        assert exact / 10 <= est <= exact * (1 + 1e-12), (x, est, exact)
+
+
+def test_solve_on_grid_restores_blas_threads(monkeypatch):
+    handles = openblas_handles()
+    assert handles, "no OpenBLAS library found in this process"
+    original = [get() for get, _ in handles]
+    for _, put in handles:  # a count that is neither 1 nor the default
+        put(3)
+    try:
+        _check_blas_threads_restored(monkeypatch, handles)
+    finally:
+        for (_, put), n in zip(handles, original):
+            put(n)
+
+
+def _check_blas_threads_restored(monkeypatch, handles):
+    before = [get() for get, _ in handles]
+    assert before == [3] * len(handles)
+    sd, md = _perturbed_data(4)
+    seen = []
+    real_solve = maineq.solve_system
+
+    def spy(system, *args, **kwargs):
+        seen.append([get() for get, _ in handles])
+        return real_solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(maineq, "solve_system", spy)
+    solve_on_grid(sd, md, 4, n_x=33)
+    assert seen and all(counts == [1] * len(handles) for counts in seen)
+    assert [get() for get, _ in handles] == before
+
+    def fail(system, *args, **kwargs):
+        raise Singular("forced")
+
+    monkeypatch.setattr(maineq, "solve_system", fail)
     with pytest.raises(Singular):
-        solve_system(bad)
+        solve_on_grid(sd, md, 4, n_x=33)
+    assert [get() for get, _ in handles] == before
 
 
 def test_recover_phi_zero_xi():

@@ -82,6 +82,25 @@ def test_kernel_D_branch_consistency():
         assert abs(kernel_D(x, lam, mu) - quotient) < 1e-9
 
 
+def test_kernel_D_outer_call_matches_broadcast_call():
+    # an outer call takes its transcendentals on the vectors; it must agree
+    # bit for bit with the same call on fully broadcast (n, m) inputs, on both
+    # sides of the diagonal switch
+    lam = np.concatenate([np.arange(8.0) ** 2, [0.0, -2.5, 3.1 + 0.4j],
+                          rng.normal(scale=30, size=5) + 1j * rng.normal(size=5)])
+    mu = np.concatenate([lam, lam[:6] + 1e-9, [1e-9, 49.0 - 2e-9j]])
+    assert np.sum(np.abs(lam[:, None] - mu[None, :]) <= EPS_D_BASE) > len(lam)
+    for x in (0.0, 0.37, 1.3, PI):
+        outer = kernel_D(x, lam[:, None], mu[None, :])
+        full = kernel_D(x, *np.broadcast_arrays(lam[:, None], mu[None, :]))
+        assert outer.shape == (len(lam), len(mu))
+        assert np.array_equal(outer, full)
+        # entry by entry through 0-d calls: the same arithmetic, but NumPy's
+        # scalar and vector loops may round differently in the last bits
+        loop = np.array([[kernel_D(x, a, b) for b in mu] for a in lam])
+        np.testing.assert_allclose(outer, loop, rtol=1e-13, atol=1e-300)
+
+
 def test_kernel_D_derivs_order_zero_matches():
     x, lam, mu = 1.9, 3.3, 7.7
     assert abs(kernel_D_derivs(x, lam, mu, 0, 0) - kernel_D(x, lam, mu)) < 1e-12
