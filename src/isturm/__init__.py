@@ -9,7 +9,7 @@ from .forward import (SolutionTrace, char_delta, find_eigenvalues,
 from .maineq import (MainEquationContext, PhiTable, build_system, recover_phi,
                      solve_on_grid, solve_system, xi_chi)
 from .model import (ModelData, kernel_D, kernel_D_derivs, model_phi,
-                    model_phi_dx, q_coefficients)
+                    model_phi_dx)
 from .problem import (FullProblem, Polynomial, ProblemL, SigmaFunction,
                       SigmaGridSamples, SigmaPolynomialInX, SigmaStep,
                       SigmaZero, normalize_pair, poly_eval, poly_gcd_degree,
@@ -34,7 +34,6 @@ __all__ = [
     "MainEquationContext", "PhiTable", "build_system", "recover_phi",
     "solve_on_grid", "solve_system", "xi_chi",
     "ModelData", "kernel_D", "kernel_D_derivs", "model_phi", "model_phi_dx",
-    "q_coefficients",
     "FullProblem", "Polynomial", "ProblemL", "SigmaFunction", "SigmaGridSamples",
     "SigmaPolynomialInX", "SigmaStep", "SigmaZero", "normalize_pair", "poly_eval",
     "poly_gcd_degree", "problem_from_json", "problem_to_json",

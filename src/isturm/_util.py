@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from math import comb, factorial
 
 import numpy as np
 
@@ -30,19 +31,26 @@ def sqrt_lambda(lam):
 
 # ---------------------------------------------------------------------------
 # Taylor tower of cos(sqrt(w)):  c_j(w) = (1/j!) (d/dw)^j cos(sqrt(w)).
-# Closed forms in s = sqrt(w) are even in s; a series branch covers |s| < 1/2.
+# Closed forms in s = sqrt(w) are even in s; a series branch covers a disk
+# |s| < r_j.  The closed form of c_j loses about |s|^(-2j) to cancellation
+# (at |s| = 1/2: 1e-13 relative for j = 3, 1e-11 for j = 4), so r_j is 1/2 for
+# j <= 2 and 2 for j = 3, 4, where 16 series terms are still exact to rounding.
 # c_j' = (j+1) c_{j+1}.
 
 _C_SERIES_TERMS = 16
+_C_SERIES_RADIUS = (0.5, 0.5, 0.5, 2.0, 2.0)
+
+# series coefficients (-1)^m C(m, j) / (2m)!, m = j .. j + 15, for j = 0..4
+_C_COEF = [[(-1) ** m * comb(m, j) / factorial(2 * m) for m in range(j, j + _C_SERIES_TERMS)]
+           for j in range(5)]
 
 
 def _c_series(j, w):
     # sum_{m >= j} (-1)^m C(m, j) w^(m-j) / (2m)!
     out = np.zeros_like(w)
     term = np.ones_like(w)  # w^(m-j) running power
-    from math import comb, factorial
-    for m in range(j, j + _C_SERIES_TERMS):
-        out = out + ((-1) ** m * comb(m, j) / factorial(2 * m)) * term
+    for c in _C_COEF[j]:
+        out = out + c * term
         term = term * w
     return out
 
@@ -51,7 +59,6 @@ def cos_sqrt_taylor(j, w):
     """c_j(w) for 0 <= j <= 4; w complex array."""
     w = np.asarray(w, dtype=complex)
     s = np.sqrt(w)  # branch-irrelevant: formulas below are even in s
-    small = np.abs(s) < 0.5
     ssafe = np.where(np.abs(s) < 1e-300, 1.0, s)
     sn, cs = np.sin(s), np.cos(s)
     if j == 0:
@@ -66,7 +73,10 @@ def cos_sqrt_taylor(j, w):
         closed = ((15 - 6 * s * s) * sn + s * (s * s - 15) * cs) / (384 * ssafe**7)
     else:
         raise ValueError(f"cos_sqrt_taylor order {j} not implemented")
-    return np.where(small, _c_series(j, w), closed)
+    small = np.abs(s) < _C_SERIES_RADIUS[j]
+    out = np.where(small, 0, closed)
+    out[small] = _c_series(j, w[small])
+    return out
 
 
 def phi_model(j, x, lam):

@@ -9,7 +9,7 @@ import sys
 
 from ._util import cplx, read_json, write_json_atomic
 from .errors import (AmbiguousOffset, CountMismatch, FitResidualTooLarge,
-                     IsturmError, Singular)
+                     IsturmError, MalformedInput, Singular)
 from .forward import forward_spectral_data
 from .model import ModelData
 from .problem import problem_from_json
@@ -66,11 +66,10 @@ def cmd_forward(args) -> int:
 def cmd_invert(args) -> int:
     diag_payload = {}
     try:
-        cfg = read_json(args.config)
-    except OSError as exc:
+        sd = spectral_data_from_json(read_json(args.config))
+    except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    sd = spectral_data_from_json(cfg)
     N = None if args.N in (None, "auto") else int(args.N)
     try:
         if args.regular:
@@ -91,6 +90,9 @@ def cmd_invert(args) -> int:
     except FitResidualTooLarge as exc:
         diag_payload["error"] = str(exc)
         code = EXIT_FIT
+    except MalformedInput as exc:
+        diag_payload["error"] = str(exc)
+        code = EXIT_IO
     else:
         payload = _reconstruction_json(out)
         if args.regular:

@@ -45,8 +45,8 @@ class OrderTooHigh(IsturmError):
     """Requested derivative order exceeds the supported multiplicity cap."""
 
 
-class IndexOutOfRange(IsturmError):
-    """Flattened spectral index outside the truncation."""
+class MalformedInput(IsturmError, ValueError):
+    """Input data breaks its schema or cannot be truncated as asked."""
 
 
 class Singular(IsturmError):

@@ -64,100 +64,40 @@ class MainEquationContext:
         self.mds = mds
         self.xi, self.chi = xi_chi(sd, md, K)
 
+        # per family and flat index: cluster order and size, the cluster's
+        # pole, and the column terms (k, dorder, alpha) of the principal part
+        # with alpha != 0, in (k, dorder) order; a column is 'special' when it
+        # has a term with dorder >= 1
         self.fams = []
         for fam_sd in (sd, mds):
-            head = np.zeros(K, dtype=int)
-            order = np.zeros(K, dtype=int)
+            head = np.repeat(fam_sd.heads, fam_sd.sizes)
+            term_k, term_dord, term_w = [], [], []
             for h, m in zip(fam_sd.heads, fam_sd.sizes):
-                for j in range(m):
-                    head[h + j] = h
-                    order[h + j] = j
+                for jk in range(m):
+                    for jp in range(jk, m):
+                        a = complex(fam_sd.alpha[h + jp])
+                        if a != 0:
+                            term_k.append(h + jk)
+                            term_dord.append(jp - jk)
+                            term_w.append(a)
+            term_k = np.asarray(term_k, dtype=int)
+            term_dord = np.asarray(term_dord, dtype=int)
+            special = np.zeros(K, dtype=bool)
+            special[term_k[term_dord >= 1]] = True
             self.fams.append({
                 "sd": fam_sd,
-                "head": head,
-                "order": order,
+                "order": np.arange(K) - head,
+                "size": np.repeat(fam_sd.sizes, fam_sd.sizes),
                 "lam_pt": fam_sd.lam[head],
                 "alpha_flat": fam_sd.alpha,
+                "term_k": term_k,
+                "term_dord": term_dord,
+                "term_w": np.asarray(term_w, dtype=complex),
+                "special": special,
             })
-
-        # column term lists: for flat col k of family j, the principal-part
-        # terms (dorder, alpha) with alpha != 0; a column is 'special' when it
-        # has any dorder >= 1 term
-        self.col_terms = []
-        self.special_cols = []
-        for fam in self.fams:
-            fam_sd = fam["sd"]
-            sizes = dict(zip(fam_sd.heads, fam_sd.sizes))
-            terms = []
-            spec = []
-            for k in range(K):
-                h = int(fam["head"][k])
-                jk = int(fam["order"][k])
-                lst = []
-                for jp in range(jk, sizes[h]):
-                    a = complex(fam_sd.alpha[h + jp])
-                    if a != 0:
-                        lst.append((jp - jk, a))
-                terms.append(lst)
-                if any(d >= 1 for d, _ in lst):
-                    spec.append(k)
-            self.col_terms.append(terms)
-            self.special_cols.append(spec)
-
-        self.special_rows = [np.flatnonzero(fam["order"] >= 1) for fam in self.fams]
-
-        # flat arrays of all column terms per family, for vectorized G sums
-        self.col_term_arrays = []
-        for j, terms in enumerate(self.col_terms):
-            k_idx, dords, wts = [], [], []
-            for k, lst in enumerate(terms):
-                for dord, a in lst:
-                    k_idx.append(k)
-                    dords.append(dord)
-                    wts.append(a)
-            self.col_term_arrays.append({
-                "k": np.asarray(k_idx, dtype=int),
-                "dord": np.asarray(dords, dtype=int),
-                "w": np.asarray(wts, dtype=complex),
-            })
-
-        # batched index lists for the general-path entries of each block (i, j)
-        self.blocks = {}
-        for i in (0, 1):
-            for j in (0, 1):
-                rows_i = self.fams[i]
-                ns, ks, lam_r, j_r, lam_c, dords, wts = [], [], [], [], [], [], []
-                entry_pairs = set()
-                for n in self.special_rows[i]:
-                    for k in range(K):
-                        entry_pairs.add((int(n), k))
-                for k in self.special_cols[j]:
-                    for n in range(K):
-                        entry_pairs.add((n, int(k)))
-                for (n, k) in sorted(entry_pairs):
-                    for dord, a in self.col_terms[j][k]:
-                        ns.append(n)
-                        ks.append(k)
-                        lam_r.append(rows_i["lam_pt"][n])
-                        j_r.append(int(rows_i["order"][n]))
-                        lam_c.append(self.fams[j]["lam_pt"][k])
-                        dords.append(dord)
-                        wts.append(a)
-                self.blocks[(i, j)] = {
-                    "pairs": sorted(entry_pairs),
-                    "ns": np.asarray(ns, dtype=int),
-                    "ks": np.asarray(ks, dtype=int),
-                    "lam_r": np.asarray(lam_r, dtype=complex),
-                    "j_r": np.asarray(j_r, dtype=int),
-                    "lam_c": np.asarray(lam_c, dtype=complex),
-                    "dords": np.asarray(dords, dtype=int),
-                    "wts": np.asarray(wts, dtype=complex),
-                }
 
         # rows where both families are simple: stable cosine-difference form
-        self.plain_rows = (self.fams[0]["order"] == 0) & (self.fams[1]["order"] == 0) \
-            & np.isin(np.arange(K), [h for h, m in zip(sd.heads, sd.sizes) if m == 1]) \
-            & np.isin(np.arange(K), [h for h, m in zip(mds.heads, mds.sizes) if m == 1])
+        self.plain_rows = (self.fams[0]["size"] == 1) & (self.fams[1]["size"] == 1)
 
     # -- x-dependent pieces ------------------------------------------------
 
@@ -178,44 +118,54 @@ class MainEquationContext:
         """G_j[k] = sum of the column terms alpha phi_model(dorder, x, lam_k) of
         family j, so that d/dx of column k of block (i, j) is phi~_i(x) G_j[k]."""
         Gs = []
-        for j in (0, 1):
-            ta = self.col_term_arrays[j]
+        for fam in self.fams:
             G = np.zeros(self.K, dtype=complex)
-            for dord in np.unique(ta["dord"]) if ta["k"].size else []:
-                sel = ta["dord"] == dord
-                pts = self.fams[j]["lam_pt"][ta["k"][sel]]
-                np.add.at(G, ta["k"][sel], ta["w"][sel] * phi_model(int(dord), x, pts))
+            for dord in np.unique(fam["term_dord"]):
+                sel = fam["term_dord"] == dord
+                ks = fam["term_k"][sel]
+                np.add.at(G, ks, fam["term_w"][sel] * phi_model(int(dord), x, fam["lam_pt"][ks]))
             Gs.append(G)
         return Gs
 
+    def kernel_columns(self, x: float, lam_r, order_r):
+        """Cluster-corrected kernel matrices [B_0, B_1] against the poles of
+        both families: B_j[r, k] is the sum over the terms (dorder, alpha) of
+        column k of family j of alpha times
+        (1/order_r!)(1/dorder!) d^order_r_lam d^dorder_mu D(x, lam_r, lam_k).
+
+        Entries in rows with order_r >= 1 or in special columns are that sum,
+        from one batched quadrature per family; the rest are
+        D(x, lam_r, lam_k) alpha_k, from one kernel_D call for both families."""
+        lam_r = np.asarray(lam_r, dtype=complex)
+        order_r = np.asarray(order_r, dtype=int)
+        K = self.K
+        D = kernel_D(x, lam_r[:, None], np.concatenate([f["lam_pt"] for f in self.fams])[None, :])
+        out = []
+        for j, fam in enumerate(self.fams):
+            B = D[:, j * K:(j + 1) * K] * fam["alpha_flat"][None, :]
+            general = (order_r[:, None] >= 1) | fam["special"][None, :]
+            if general.any():
+                # each general entry (r, k) with the terms of column k, in
+                # entry order, then term order
+                ns, ks = np.nonzero(general)
+                e, t = np.nonzero(ks[:, None] == fam["term_k"][None, :])
+                ns, ks = ns[e], ks[e]
+                vals = kernel_D_derivs_batch(x, lam_r[ns], order_r[ns],
+                                             fam["lam_pt"][ks], fam["term_dord"][t])
+                B[general] = 0.0
+                np.add.at(B, (ns, ks), fam["term_w"][t] * vals)
+            out.append(B)
+        return out
+
     def q_blocks(self, x: float):
         """Q blocks and their x-derivatives at x, each (K, K)."""
-        K = self.K
-        P0 = self.fams[0]["lam_pt"]
-        P1 = self.fams[1]["lam_pt"]
-        R = np.concatenate([P0, P1])
-        D = kernel_D(x, R[:, None], R[None, :])
         Q = {}
-        for i in (0, 1):
-            for j in (0, 1):
-                Qb = D[i * K:(i + 1) * K, j * K:(j + 1) * K] * self.fams[j]["alpha_flat"][None, :]
-                blk = self.blocks[(i, j)]
-                if blk["ns"].size:
-                    vals = kernel_D_derivs_batch(x, blk["lam_r"], blk["j_r"],
-                                                 blk["lam_c"], blk["dords"])
-                    Qb = Qb.copy()
-                    for (n, k) in blk["pairs"]:
-                        Qb[n, k] = 0.0
-                    np.add.at(Qb, (blk["ns"], blk["ks"]), blk["wts"] * vals)
-                Q[(i, j)] = Qb
-
+        for i, fam in enumerate(self.fams):
+            Q[(i, 0)], Q[(i, 1)] = self.kernel_columns(x, fam["lam_pt"], fam["order"])
         (pt0, dpt0), (pt1, dpt1) = self.phi_tilde(x)
-        dQ = {}
         Gs = self.g_vectors(x)
-        for i in (0, 1):
-            frow = pt0 if i == 0 else pt1
-            for j in (0, 1):
-                dQ[(i, j)] = frow[:, None] * Gs[j][None, :]
+        dQ = {(i, j): frow[:, None] * Gs[j][None, :]
+              for i, frow in enumerate((pt0, pt1)) for j in (0, 1)}
         return Q, dQ, (pt0, dpt0, pt1, dpt1)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import (MAX_DERIV_ORDER, gl_nodes_on, phi_model, phi_model_dx,
                     sqrt_lambda)
-from .errors import IndexOutOfRange, OrderTooHigh
+from .errors import OrderTooHigh
 from .spectral import SpectralData
 
 PI = np.pi
@@ -36,9 +36,6 @@ class ModelData:
 
     def lambda_tilde(self, n: int) -> complex:
         return complex(max(n - self.M1 - 1, 0) ** 2)
-
-    def rho_tilde(self, n: int) -> float:
-        return float(max(n - self.M1 - 1, 0))
 
     def alpha_tilde(self, n: int) -> complex:
         if n == 1:
@@ -112,17 +109,9 @@ def kernel_D_derivs(x, lam, mu, j_lam: int = 0, j_mu: int = 0):
     quadrature with the node count scaled to x max(|rho|)."""
     if j_lam > MAX_DERIV_ORDER or j_mu > MAX_DERIV_ORDER:
         raise OrderTooHigh("kernel derivative order above the multiplicity cap")
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    lam2, mu2 = np.broadcast_arrays(lam, mu)
-    if x == 0.0:
-        z = np.zeros(lam2.shape, dtype=complex)
-        return complex(z) if z.shape == () else z
-    scale = float(np.max(np.abs(sqrt_lambda(lam))) + np.max(np.abs(sqrt_lambda(mu))))
-    t, w = _quad_nodes(x, scale)
-    fl = phi_model(j_lam, t[:, None], lam2.ravel()[None, :])
-    fm = phi_model(j_mu, t[:, None], mu2.ravel()[None, :])
-    out = (w[:, None] * fl * fm).sum(axis=0).reshape(lam2.shape)
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex))
+    j = np.zeros(lam.size, dtype=int)
+    out = kernel_D_derivs_batch(x, lam.ravel(), j + j_lam, mu.ravel(), j + j_mu).reshape(lam.shape)
     if out.shape == ():
         return complex(out)
     return out
@@ -139,60 +128,9 @@ def kernel_D_derivs_batch(x, lams, j_lams, mus, j_mus):
         return out
     scale = float(np.max(np.abs(sqrt_lambda(lams))) + np.max(np.abs(sqrt_lambda(mus))))
     t, w = _quad_nodes(x, scale)
-    for jl in np.unique(j_lams):
-        for jm in np.unique(j_mus):
-            sel = (j_lams == jl) & (j_mus == jm)
-            if not np.any(sel):
-                continue
-            fl = phi_model(int(jl), t[:, None], lams[sel][None, :])
-            fm = phi_model(int(jm), t[:, None], mus[sel][None, :])
-            out[sel] = (w[:, None] * fl * fm).sum(axis=0)
+    for jl, jm in np.unique(np.stack([j_lams.ravel(), j_mus.ravel()]), axis=1).T:
+        sel = (j_lams == jl) & (j_mus == jm)
+        fl = phi_model(int(jl), t[:, None], lams[sel][None, :])
+        fm = phi_model(int(jm), t[:, None], mus[sel][None, :])
+        out[sel] = (w[:, None] * fl * fm).sum(axis=0)
     return out
-
-
-def _family_view(sd: SpectralData):
-    """Per flattened index: cluster head, order within cluster, head lambda."""
-    K = sd.K
-    head = np.zeros(K, dtype=int)
-    order = np.zeros(K, dtype=int)
-    for h, m in zip(sd.heads, sd.sizes):
-        for j in range(m):
-            head[h + j] = h
-            order[h + j] = j
-    lam_point = sd.lam[head]
-    return head, order, lam_point
-
-
-def q_coefficients(sd: SpectralData, md: ModelData, x: float,
-                   n: int, i: int, k: int, j: int) -> complex:
-    """Coefficient Q_{n,i;k,j}(x) of the infinite linear relation.
-
-    n, k are 1-based flattened indices within the truncation; i selects the
-    family of the evaluation point (0 data, 1 model) and j the family of the
-    pole.  For a simple pole this is alpha_{kj} D(x, lam_{ni}, lam_{kj});
-    clusters add the principal-part derivative terms.
-    """
-    K = sd.K
-    if not (1 <= n <= K and 1 <= k <= K) or i not in (0, 1) or j not in (0, 1):
-        raise IndexOutOfRange(f"q_coefficients index (n={n}, i={i}, k={k}, j={j})")
-    sd_i = sd if i == 0 else md.spectral_data(K)
-    sd_j = sd if j == 0 else md.spectral_data(K)
-    _, order_i, lampt_i = _family_view(sd_i)
-    head_j, order_j, lampt_j = _family_view(sd_j)
-    jn = int(order_i[n - 1])
-    lam_n = complex(lampt_i[n - 1])
-    h_k = int(head_j[k - 1])
-    jk = int(order_j[k - 1])
-    lam_k = complex(lampt_j[k - 1])
-    m_k = dict(zip(sd_j.heads, sd_j.sizes))[h_k]
-    total = 0j
-    for jp in range(jk, m_k):
-        a = complex(sd_j.alpha[h_k + jp])
-        if a == 0:
-            continue
-        if jn == 0 and jp == jk:
-            dval = kernel_D(x, lam_n, lam_k)
-        else:
-            dval = kernel_D_derivs(x, lam_n, lam_k, j_lam=jn, j_mu=jp - jk)
-        total += a * dval
-    return complex(total)

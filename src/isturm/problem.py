@@ -52,12 +52,6 @@ class Polynomial:
     def __call__(self, lam):
         return poly_eval(self, lam)
 
-    def deriv(self) -> "Polynomial":
-        c = self.coeffs
-        if len(c) == 1:
-            return Polynomial([0.0])
-        return Polynomial([k * c[k] for k in range(1, len(c))])
-
     def scaled(self, factor: complex) -> "Polynomial":
         return Polynomial([factor * c for c in self.coeffs])
 

@@ -22,7 +22,7 @@ import numpy as np
 from ._util import phi_model, phi_model_dx, sqrt_lambda
 from .errors import ContourThroughPole, FitResidualTooLarge, UnsupportedCase
 from .maineq import MainEquationContext, PhiTable, solve_on_grid
-from .model import ModelData, kernel_D, kernel_D_derivs_batch
+from .model import ModelData
 from .problem import Polynomial
 from .spectral import SpectralData, detect_M1
 
@@ -77,30 +77,9 @@ def choose_contour(sd: SpectralData, md: ModelData, K: int, xi: np.ndarray,
 def _series_matrix(ctx: MainEquationContext, x: float, lam_s: np.ndarray):
     """B[i][s, k] = principal-part coefficient sums A_{k,i}(x, lam_s).
 
-    Columns of cluster members with derivative terms are rebuilt from
-    ``ctx.col_terms``, the same way ``MainEquationContext.q_blocks`` does."""
-    out = []
-    for j in (0, 1):
-        lampt = ctx.fams[j]["lam_pt"]
-        B = kernel_D(x, lam_s[:, None], lampt[None, :]) * ctx.fams[j]["alpha_flat"][None, :]
-        cols = ctx.special_cols[j]
-        if cols:
-            kcols, lam_c, dords, wts = [], [], [], []
-            for k in cols:
-                for dord, a in ctx.col_terms[j][k]:
-                    kcols.append(k)
-                    lam_c.append(lampt[k])
-                    dords.append(dord)
-                    wts.append(a)
-            B[:, cols] = 0.0
-            for s in range(len(lam_s)):
-                vals = kernel_D_derivs_batch(
-                    x, np.full(len(kcols), lam_s[s]), np.zeros(len(kcols), dtype=int),
-                    np.asarray(lam_c), np.asarray(dords))
-                np.add.at(B[s], np.asarray(kcols, dtype=int),
-                          np.asarray(wts, dtype=complex) * vals)
-        out.append(B)
-    return out
+    Columns of cluster members with derivative terms come from
+    ``MainEquationContext.kernel_columns``, the builder behind ``q_blocks``."""
+    return ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
 
 
 def _phi_values_at(table: PhiTable, ctx: MainEquationContext, x: float):

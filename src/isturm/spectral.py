@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import cplx, sqrt_lambda
-from .errors import AmbiguousOffset, AtPole, DenominatorZero
+from .errors import AmbiguousOffset, AtPole, DenominatorZero, MalformedInput
 from .problem import Polynomial, poly_eval
 
 
@@ -99,7 +99,7 @@ class SpectralData:
             return self
         for h, m in zip(self.heads, self.sizes):
             if h < K < h + m:
-                raise ValueError(f"truncation K={K} splits a multiplicity-{m} cluster")
+                raise MalformedInput(f"truncation K={K} splits a multiplicity-{m} cluster")
         return SpectralData.from_flat(self.lam[:K], self.alpha[:K], m1=self.m1, case=self.case)
 
 
@@ -197,13 +197,16 @@ def spectral_data_to_json(sd: SpectralData) -> dict:
 
 def spectral_data_from_json(data) -> SpectralData:
     records = []
-    for e in data["eigs"]:
-        lam = complex(e["lambda"][0], e["lambda"][1])
-        records.append(EigenRecord(
-            lam=lam, rho=complex(sqrt_lambda(lam)),
-            multiplicity=int(e["multiplicity"]),
-            alpha_coeffs=tuple(complex(a[0], a[1]) for a in e["alpha"]),
-        ))
+    for i, e in enumerate(data["eigs"]):
+        try:
+            lam = complex(e["lambda"][0], e["lambda"][1])
+            records.append(EigenRecord(
+                lam=lam, rho=complex(sqrt_lambda(lam)),
+                multiplicity=int(e["multiplicity"]),
+                alpha_coeffs=tuple(complex(a[0], a[1]) for a in e["alpha"]),
+            ))
+        except (KeyError, ValueError) as exc:
+            raise MalformedInput(f"eigs[{i}]: {exc!r}") from None
     m1 = data.get("M1", -1)
     return SpectralData.from_records(records, m1=None if m1 < 0 else int(m1),
                                      case=data.get("case"))

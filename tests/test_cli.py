@@ -100,6 +100,28 @@ def test_missing_config_is_io_error(tmp_path):
     assert main(["forward", "--config", str(tmp_path / "nope.json")]) == 3
 
 
+@pytest.mark.parametrize("case", ["no-multiplicity", "alpha-length", "K-splits-cluster"])
+def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
+    # the model data opens with a triple zero, then a simple pole at 1
+    sd_path = tmp_path / "sd.json"
+    assert main(["model", "--M1", "2", "--K", "10", "--out", str(sd_path)]) == 0
+    data = json.loads(sd_path.read_text())
+    K = "10"
+    if case == "no-multiplicity":
+        del data["eigs"][1]["multiplicity"]
+    elif case == "alpha-length":
+        data["eigs"][1]["alpha"].append([0.0, 0.0])
+    else:
+        K = "2"
+    write_json_atomic(sd_path, data)
+    capsys.readouterr()
+    code = main(["invert", "--config", str(sd_path), "--K", K, "--nx", "65",
+                 "--out", str(tmp_path / "rec.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_ambiguous_offset_exit_code(tmp_path):
     # synthetic data with rho_n = n - 1.25: offset fraction falls in the gray zone
     rho = np.arange(1, 31) - 1.25

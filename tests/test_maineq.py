@@ -11,8 +11,8 @@ from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, build_system,
 from isturm._blas import openblas_handles
 from isturm.errors import Singular
 from isturm.maineq import MainEquationContext, solve_at_x
-from isturm.model import q_coefficients
 from isturm.spectral import SpectralData
+from q_oracle import q_coefficients
 
 PI = np.pi
 rng = np.random.default_rng(7)
@@ -56,6 +56,30 @@ def test_build_system_matches_hand_assembly():
             ])
             got = sys.H[2 * n - 2:2 * n, 2 * k - 2:2 * k]
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.7, 2.6])
+@pytest.mark.parametrize("M1", [1, 2])
+@pytest.mark.parametrize("m", [2, 3], ids=["double", "triple"])
+def test_q_blocks_match_scalar_oracle_clustered(m, M1, x):
+    # the first m poles merge into one off-axis cluster (the clustered20 data
+    # at K = 8); the model family keeps its own (M1+1)-fold zero cluster
+    K = 8
+    md = ModelData(M1)
+    base = md.spectral_data(K)
+    lam = base.lam.copy()
+    alpha = base.alpha.copy()
+    lam[:m] = 0.3 + 0.5j
+    alpha[:m] = [0.9 + 0.1j, 0.2 - 0.25j, 0.05 + 0.03j][:m]
+    sd = SpectralData.from_flat(lam, alpha)
+    assert sd.sizes[0] == m
+    Q, _, _ = MainEquationContext(sd, md, K).q_blocks(x)
+    for (i, j), block in Q.items():
+        want = [[q_coefficients(sd, md, x, n, i, k, j) for k in range(1, K + 1)]
+                for n in range(1, K + 1)]
+        # a batch shares one node count, scaled to its largest |rho|, so an
+        # entry differs from the per-entry oracle by quadrature error (~1e-14)
+        np.testing.assert_allclose(block, want, rtol=1e-12, atol=1e-13)
 
 
 def test_entry_bound_pattern(step_sd40):

@@ -1,11 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 
 from isturm import ModelData, kernel_D, kernel_D_derivs, model_phi, model_phi_dx
-from isturm._util import sqrt_lambda
+from isturm._util import cos_sqrt_taylor, sqrt_lambda
 from isturm.errors import OrderTooHigh
-from isturm.model import EPS_D_BASE, q_coefficients
+from isturm.model import EPS_D_BASE
 from isturm.spectral import SpectralData
+from q_oracle import q_coefficients
 
 PI = np.pi
 rng = np.random.default_rng(11)
@@ -34,6 +36,27 @@ def test_model_phi_derivatives_vs_finite_difference():
         assert abs(model_phi(x, lam0, j=1) - fd1) < 1e-6
         fd2 = (f(lam0 + h) - 2 * f(lam0) + f(lam0 - h)) / h**2 / 2
         assert abs(model_phi(x, lam0, j=2) - fd2) < 1e-4
+
+
+def _c_reference(j, w):
+    # (1/j!) (d/dw)^j cos(sqrt(w)) as an mpmath Taylor coefficient
+    with mpmath.workdps(40):
+        return complex(mpmath.taylor(lambda z: mpmath.cos(mpmath.sqrt(z)),
+                                     mpmath.mpc(complex(w)), j)[j])
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_cos_sqrt_taylor_vs_mpmath(j):
+    # entries inside and outside the series disks |sqrt(w)| < 1/2 and < 2,
+    # with w = 0 and negative real w
+    w = np.array([0, 0.1, -0.2, 0.05 + 0.1j, 0.2j, 0.3, -0.3, 0.26j, 1.0, -1.0,
+                  3.0, 4.1, -3.9, -12.0, 20 + 5j, -4 + 8j])
+    np.testing.assert_allclose(cos_sqrt_taylor(j, w), [_c_reference(j, v) for v in w],
+                               rtol=1e-13)
+    for w0 in (0.0, -0.3, 3.0):
+        got = cos_sqrt_taylor(j, np.asarray(w0))
+        assert got.shape == ()
+        np.testing.assert_allclose(got, _c_reference(j, w0), rtol=1e-13)
 
 
 def test_model_phi_dx_vs_finite_difference():
