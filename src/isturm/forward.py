@@ -28,6 +28,8 @@ PI = np.pi
 
 _GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
+# elements (steps x lambda) per block of step matrices in _propagate
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -53,21 +55,70 @@ def _step_mesh(sigma: SigmaFunction, n_x: int):
     return mesh, take
 
 
+def _step_matrices(w11, w12, a, b, P, Q, lam):
+    """Entries of exp(Omega) for a block of steps (rows) and lambdas (columns).
+
+    Omega = [[w11, w12], [a + b lam, -w11]] is trace free, so with
+    u^2 = -det Omega = P + Q lam its exponential is cosh(u) I + sinh(u)/u Omega.
+    Both are even in u, so the branch of the square root does not matter.
+    cosh and sinh of u = x + iy come from the real cosh x, sinh x, cos y and
+    sin y, which is several times cheaper than the complex functions.
+    """
+    u2 = P[:, None] + Q[:, None] * lam
+    u = np.sqrt(u2)
+    x = np.ascontiguousarray(u.real)
+    y = np.ascontiguousarray(u.imag)
+    chx, shx, cy, sy = np.cosh(x), np.sinh(x), np.cos(y), np.sin(y)
+    cu = np.empty_like(u)
+    np.multiply(chx, cy, out=cu.real)
+    np.multiply(shx, sy, out=cu.imag)
+    su = np.empty_like(u)
+    np.multiply(shx, cy, out=su.real)
+    np.multiply(chx, sy, out=su.imag)
+    # sinh(u)/u, with its series 1 + u^2/6 + O(u^4) near (and at) u = 0
+    small = x * x + y * y < 1e-16
+    su /= np.where(small, 1.0, u)
+    if small.any():
+        su[small] = 1.0 + u2[small] / 6.0
+    t = su * w11[:, None]
+    return cu + t, su * w12[:, None], su * (a[:, None] + b[:, None] * lam), cu - t
+
+
 def _propagate(sigma, lam, y0, yq0, mesh, record_at=None):
     """March the Magnus-4 propagator along mesh (ascending or descending).
 
     lam: (B,) complex.  y0/yq0: scalar or (B,).  record_at: optional array of
     mesh indices at which to store the state; returns either the endpoint pair
     or (Y, YQ) of shape (n_rec, B).
+
+    With sigma frozen at the Gauss values s1, s2 of a step of length h, the
+    Magnus element h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] of
+    A(s) = [[s, 1], [-s^2 - lam, -s]] is [[w11, w12], [a + b lam, -w11]]:
+    the commutator has c11 = s2^2 - s1^2, c12 = 2 (s2 - s1) and
+    c21 = 2 s1 s2 (s1 - s2) + 2 lam (s2 - s1), so lam enters one entry
+    linearly and u^2 = -det = P + Q lam.  w11, w12, a, b, P, Q are computed
+    once per call for all steps.  The step matrices are then formed in blocks
+    of at most _BLOCK (steps x lambda) elements, which bounds every
+    temporary: a batch wider than _BLOCK is cut into independent lambda
+    blocks of _BLOCK columns, a narrower one takes _BLOCK // width steps per
+    block.  The Python loop does only the 2x2 mat-vec of each step.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     B = lam.shape[0]
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), (B,)).astype(complex)
-    yq = np.broadcast_to(np.asarray(yq0, dtype=complex), (B,)).astype(complex)
+    y_out = np.broadcast_to(np.asarray(y0, dtype=complex), (B,)).astype(complex)
+    yq_out = np.broadcast_to(np.asarray(yq0, dtype=complex), (B,)).astype(complex)
     n_steps = len(mesh) - 1
-    h_all = np.diff(mesh)
-    s1_all = np.asarray(sigma(mesh[:-1] + _GAUSS_C1 * h_all), dtype=complex)
-    s2_all = np.asarray(sigma(mesh[:-1] + _GAUSS_C2 * h_all), dtype=complex)
+    h = np.diff(mesh)
+    s1 = np.asarray(sigma(mesh[:-1] + _GAUSS_C1 * h), dtype=complex)
+    s2 = np.asarray(sigma(mesh[:-1] + _GAUSS_C2 * h), dtype=complex)
+    f = np.sqrt(3.0) / 12.0 * h * h
+    d = 2.0 * f * (s2 - s1)
+    w11 = 0.5 * h * (s1 + s2) + f * (s2 * s2 - s1 * s1)
+    w12 = h + d
+    a = -0.5 * h * (s1 * s1 + s2 * s2) + 2.0 * f * s1 * s2 * (s1 - s2)
+    b = d - h
+    P = w11 * w11 + w12 * a
+    Q = w12 * b
 
     recording = record_at is not None
     if recording:
@@ -75,47 +126,31 @@ def _propagate(sigma, lam, y0, yq0, mesh, record_at=None):
         Y = np.empty((len(record_at), B), dtype=complex)
         YQ = np.empty((len(record_at), B), dtype=complex)
         if 0 in rec_pos:
-            Y[rec_pos[0]], YQ[rec_pos[0]] = y, yq
+            Y[rec_pos[0]], YQ[rec_pos[0]] = y_out, yq_out
 
-    fac_c = np.sqrt(3.0) / 12.0
     with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(n_steps):
-            h = h_all[i]
-            s1 = s1_all[i]
-            s2 = s2_all[i]
-            # Magnus element: h/2 (A1 + A2) + sqrt(3) h^2 / 12 [A2, A1]
-            w11 = 0.5 * h * (s1 + s2)
-            w12 = np.full(B, h, dtype=complex)
-            w21 = -0.5 * h * (s1 * s1 + s2 * s2) - h * lam
-            if s1 != s2:
-                f = fac_c * h * h
-                # [A2, A1] for A(s) = [[s, 1], [-s^2 - lam, -s]]
-                c11 = (s2 * s1 - (s1 * s1 + lam)) - (s1 * s2 - (s2 * s2 + lam))
-                c12 = 2 * (s2 - s1)
-                c21 = (-(s2 * s2 + lam) * s1 + s2 * (s1 * s1 + lam)) \
-                    - (-(s1 * s1 + lam) * s2 + s1 * (s2 * s2 + lam))
-                w11 = w11 + f * c11
-                w12 = w12 + f * c12
-                w21 = w21 + f * c21
-            # exp of the trace-free 2x2: u^2 = -det = w11^2 + w12 w21
-            u = np.sqrt(w11 * w11 + w12 * w21)
-            cu = np.cosh(u)
-            au = np.abs(u)
-            su = np.where(au < 1e-8, 1.0 + u * u / 6.0,
-                          np.sinh(u) / np.where(au < 1e-300, 1.0, u))
-            y, yq = (cu + su * w11) * y + (su * w12) * yq, \
-                    (su * w21) * y + (cu - su * w11) * yq
-            if recording and (i + 1) in rec_pos:
-                k = rec_pos[i + 1]
-                Y[k], YQ[k] = y, yq
+        for c0 in range(0, B, _BLOCK):
+            cols = slice(c0, c0 + _BLOCK)
+            lam_c = lam[cols]
+            y, yq = y_out[cols], yq_out[cols]
+            rows = _BLOCK // lam_c.shape[0]
+            for r0 in range(0, n_steps, rows):
+                st = slice(r0, r0 + rows)
+                mats = _step_matrices(w11[st], w12[st], a[st], b[st], P[st], Q[st], lam_c)
+                # i: mesh index reached by the step
+                for i, (m11, m12, m21, m22) in enumerate(zip(*mats), r0 + 1):
+                    y, yq = m11 * y + m12 * yq, m21 * y + m22 * yq
+                    if recording and i in rec_pos:
+                        Y[rec_pos[i], cols], YQ[rec_pos[i], cols] = y, yq
+            y_out[cols], yq_out[cols] = y, yq
 
     if recording:
         if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(YQ))):
             raise NonFiniteState("integration overflow; |lambda| too large for step size")
         return Y, YQ
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(yq))):
+    if not (np.all(np.isfinite(y_out)) and np.all(np.isfinite(yq_out))):
         raise NonFiniteState("integration overflow; |lambda| too large for step size")
-    return y, yq
+    return y_out, yq_out
 
 
 def integrate_solution(sigma: SigmaFunction, lam, init, direction: str = "ltr",

@@ -195,17 +195,28 @@ def spectral_data_to_json(sd: SpectralData) -> dict:
     }
 
 
+def _from_pair(v) -> complex:
+    """complex from a [re, im] pair; a pair of any other shape raises
+    ValueError or TypeError."""
+    re, im = v
+    return complex(re, im)
+
+
 def spectral_data_from_json(data) -> SpectralData:
+    try:
+        eigs = list(data["eigs"])
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"spectral data without an 'eigs' list: {exc!r}") from None
     records = []
-    for i, e in enumerate(data["eigs"]):
+    for i, e in enumerate(eigs):
         try:
-            lam = complex(e["lambda"][0], e["lambda"][1])
+            lam = _from_pair(e["lambda"])
             records.append(EigenRecord(
                 lam=lam, rho=complex(sqrt_lambda(lam)),
                 multiplicity=int(e["multiplicity"]),
-                alpha_coeffs=tuple(complex(a[0], a[1]) for a in e["alpha"]),
+                alpha_coeffs=tuple(_from_pair(a) for a in e["alpha"]),
             ))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"eigs[{i}]: {exc!r}") from None
     m1 = data.get("M1", -1)
     return SpectralData.from_records(records, m1=None if m1 < 0 else int(m1),

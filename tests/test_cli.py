@@ -100,7 +100,8 @@ def test_missing_config_is_io_error(tmp_path):
     assert main(["forward", "--config", str(tmp_path / "nope.json")]) == 3
 
 
-@pytest.mark.parametrize("case", ["no-multiplicity", "alpha-length", "K-splits-cluster"])
+@pytest.mark.parametrize("case", ["no-multiplicity", "alpha-length", "K-splits-cluster",
+                                  "no-eigs", "lambda-one-element", "alpha-bare-number"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -111,6 +112,12 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         del data["eigs"][1]["multiplicity"]
     elif case == "alpha-length":
         data["eigs"][1]["alpha"].append([0.0, 0.0])
+    elif case == "no-eigs":
+        del data["eigs"]
+    elif case == "lambda-one-element":
+        data["eigs"][1]["lambda"] = [1.0]
+    elif case == "alpha-bare-number":
+        data["eigs"][1]["alpha"] = [0.5]
     else:
         K = "2"
     write_json_atomic(sd_path, data)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
@@ -7,7 +10,7 @@ from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
                     phi_at, weight_numbers, weyl_M)
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
-from isturm.forward import _polish_simple, _psi_zero_batch
+from isturm.forward import _BLOCK, _polish_simple, _propagate, _psi_zero_batch, _step_mesh
 
 PI = np.pi
 
@@ -70,6 +73,119 @@ def test_trace_initial_data_exact():
 def test_integration_overflow_raises():
     with pytest.raises(NonFiniteState):
         integrate_solution(SigmaZero(), -4.0e5, (1.0, 0.0), "ltr", 33)
+
+
+# -- the Magnus step against its unhoisted definition -------------------------
+
+
+def _A(s, lam):
+    return np.array([[s, 1.0], [-s * s - lam, -s]], dtype=complex)
+
+
+def _magnus4_elements(sigma, lam, mesh):
+    """Per-step h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] at the two Gauss nodes."""
+    c = np.sqrt(3.0) / 6.0
+    out = []
+    for x0, x1 in zip(mesh[:-1], mesh[1:]):
+        h = x1 - x0
+        A1 = _A(complex(sigma(x0 + (0.5 - c) * h)), lam)
+        A2 = _A(complex(sigma(x0 + (0.5 + c) * h)), lam)
+        out.append(h / 2 * (A1 + A2) + np.sqrt(3.0) * h * h / 12 * (A2 @ A1 - A1 @ A2))
+    return out
+
+
+def _expm_product(sigma, lam, mesh):
+    M = np.eye(2, dtype=complex)
+    for omega in _magnus4_elements(sigma, lam, mesh):
+        M = expm(omega) @ M
+    return M
+
+
+def _zero_exponent_lambda(sigma, mesh, step):
+    """The lambda where -det(Omega) = u^2 vanishes on one step; u^2 is linear in lambda."""
+    sl = mesh[step:step + 2]
+    u2 = [-np.linalg.det(_magnus4_elements(sigma, lam, sl)[0]) for lam in (0.0, 1.0)]
+    return -u2[0] / (u2[1] - u2[0])
+
+
+@pytest.mark.parametrize("sigma", [SigmaZero(), SigmaStep(1.0, 1.0),
+                                   SigmaPolynomialInX([0.3 - 0.2j, 1.0 + 0.5j, -0.4j])],
+                         ids=["zero", "step", "poly-complex"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["ltr", "rtl"])
+def test_propagate_matches_expm_of_magnus_elements(sigma, reverse):
+    # plain uniform mesh: the jump at x = 1 falls inside a step, so the step
+    # sigma has one step with s1 != s2 and a non-zero commutator
+    mesh = np.linspace(0.0, PI, 65)
+    if reverse:
+        mesh = mesh[::-1]
+    lams = [0.0, -9.0, 2.3 + 1j, 400.0, _zero_exponent_lambda(sigma, mesh, 20)]
+    # both unit initial vectors per lambda, tiled so that the batch spans
+    # several step blocks (_BLOCK // width steps each)
+    reps = 100
+    lam_b = np.tile(np.repeat(lams, 2), reps)
+    y0 = np.tile([1.0, 0.0], len(lams) * reps)
+    y, yq = _propagate(sigma, lam_b, y0, 1.0 - y0, mesh)
+    assert _BLOCK // len(lam_b) < len(mesh) - 1
+    for j, lam in enumerate(lams):
+        want = _expm_product(sigma, lam, mesh)
+        for r in (0, reps - 1):
+            k = 2 * (r * len(lams) + j)
+            got = np.array([[y[k], y[k + 1]], [yq[k], yq[k + 1]]])
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (lam, r)
+
+
+def test_propagate_lambda_blocks_are_independent():
+    # 2.5 blocks + 3 lambdas: the batch is cut into blocks of _BLOCK columns,
+    # and each block must give what a call on it alone gives, bit for bit
+    sigma = SigmaPolynomialInX([0.2, 0.7 - 0.3j])
+    B = 5 * _BLOCK // 2 + 3
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-4.0, 400.0, B) + 1j * rng.uniform(-5.0, 5.0, B)
+    y0 = rng.uniform(-1.0, 1.0, B) + 1j * rng.uniform(-1.0, 1.0, B)
+    mesh, take = _step_mesh(sigma, 33)
+    y, yq = _propagate(sigma, lam, y0, 0.5, mesh)
+    Y, YQ = _propagate(sigma, lam, y0, 0.5, mesh, record_at=take)
+    cuts = [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, B)]
+    parts = [_propagate(sigma, lam[a:b], y0[a:b], 0.5, mesh) for a, b in cuts]
+    recs = [_propagate(sigma, lam[a:b], y0[a:b], 0.5, mesh, record_at=take) for a, b in cuts]
+    assert np.array_equal(y, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(yq, np.concatenate([p[1] for p in parts]))
+    assert np.array_equal(Y, np.concatenate([r[0] for r in recs], axis=1))
+    assert np.array_equal(YQ, np.concatenate([r[1] for r in recs], axis=1))
+    assert np.array_equal(Y[-1], y) and np.array_equal(YQ[-1], yq)
+
+
+@pytest.mark.parametrize("sigma", [SigmaStep(0.8, 1.3), SigmaPolynomialInX([0.5, -1.0j, 0.25])],
+                         ids=["step", "poly"])
+def test_integrate_solution_last_node_is_phi_at(sigma):
+    lam = 2.3 + 1j
+    tr = integrate_solution(sigma, lam, (1.0, 0.0), "ltr", 257)
+    y, yq = phi_at(sigma, lam, 257)
+    assert tr.y[-1] == y and tr.y_quasi[-1] == yq
+
+
+_unit = st.floats(-1.0, 1.0)
+_cplx = st.builds(complex, _unit, _unit)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(_cplx, min_size=1, max_size=3),
+       lam=st.builds(complex, st.floats(-4.0, 100.0), st.floats(-5.0, 5.0)),
+       v0=st.tuples(_cplx, _cplx))
+def test_propagate_round_trip_is_identity(coeffs, lam, v0):
+    # the Magnus-4 element is time symmetric: over the reversed mesh the Gauss
+    # nodes swap and h changes sign, so Omega -> -Omega and the way back
+    # inverts the way out.  Rounding made on the way is magnified by at most
+    # the condition number ||M||^2 of the propagator M (det M = 1).
+    v0 = np.asarray(v0)
+    assume(np.linalg.norm(v0) > 0.1)
+    sigma = SigmaPolynomialInX(coeffs)
+    mesh, _ = _step_mesh(sigma, 33)
+    y1, yq1 = _propagate(sigma, [lam] * 3, [v0[0], 1.0, 0.0], [v0[1], 0.0, 1.0], mesh)
+    y2, yq2 = _propagate(sigma, lam, y1[0], yq1[0], mesh[::-1])
+    cond = np.linalg.norm([[y1[1], y1[2]], [yq1[1], yq1[2]]], 2) ** 2
+    err = np.linalg.norm([y2[0] - v0[0], yq2[0] - v0[1]])
+    assert err <= 1e-10 * cond * np.linalg.norm(v0)
 
 
 def test_phi_at_cos3():
