@@ -16,6 +16,8 @@ from math import comb, factorial
 
 import numpy as np
 
+from .errors import MalformedInput
+
 PI = np.pi
 
 MAX_DERIV_ORDER = 3  # multiplicity cap: clusters up to triple eigenvalues
@@ -172,5 +174,9 @@ def write_json_atomic(path, obj):
 
 
 def read_json(path):
+    """Parsed JSON document; text that is not JSON raises MalformedInput."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise MalformedInput(f"{path}: not a JSON document: {exc}") from None

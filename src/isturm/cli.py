@@ -67,17 +67,17 @@ def cmd_invert(args) -> int:
     diag_payload = {}
     try:
         sd = spectral_data_from_json(read_json(args.config))
-    except (OSError, MalformedInput) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     N = None if args.N in (None, "auto") else int(args.N)
     try:
         if args.regular:
             from .refine import invert_refined, rebuild_sigma_tail, recover_q
-            ref = invert_refined(sd, K=args.K, n_x=args.nx, N=N, passes=1)
+            ref = invert_refined(sd, K=args.K, n_x=args.nx, N=N)
             res = ref.base
             q, _ = recover_q(ref.sigma, ref.x_grid, res.K)
-            sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid, res.K)
+            sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
             out = dataclasses.replace(ref, sigma=sigma_fixed)
         else:
             res = out = invert_spectral_data(sd, K=args.K, n_x=args.nx, N=N)
@@ -223,6 +223,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     try:
         return args.func(args)
+    except MalformedInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except IsturmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

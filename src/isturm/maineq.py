@@ -29,6 +29,7 @@ from .spectral import SpectralData
 PI = np.pi
 
 XI_CUTOFF = 1e-12  # xi below this is treated as exactly zero (chi = 0)
+COND_LIMIT = 1e12  # condition estimate above which a node's system is Singular
 
 
 def xi_chi(sd: SpectralData, md: ModelData, K: int | None = None):
@@ -183,11 +184,9 @@ def _transform(ctx: MainEquationContext, Qb):
     return H
 
 
-def build_system(sd: SpectralData, md: ModelData, x: float,
-                 K: int | None = None, ctx: MainEquationContext | None = None) -> MainEquationSystem:
-    """Assemble psi_tilde(x) and H(x) (plus x-derivatives) at one grid point."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, K)
+def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
+    """Assemble psi_tilde(x) and H(x) (plus x-derivatives) at one grid point
+    for the context's (data, model, K) triple."""
     K = ctx.K
     Q, dQ, (pt0, dpt0, pt1, dpt1) = ctx.q_blocks(x)
     H = _transform(ctx, Q)
@@ -216,12 +215,13 @@ def build_system(sd: SpectralData, md: ModelData, x: float,
                               dpsi_tilde=dpsi, dH=dH)
 
 
-def solve_system(system: MainEquationSystem, cond_limit: float = 1e12):
+def solve_system(system: MainEquationSystem):
     """Solve (E + H) psi = psi_tilde; returns (psi, dpsi, condition estimate).
 
     The condition number is LAPACK's 1-norm estimate from the LU factors
     (zgecon: Hager's method as refined by Higham), a lower bound on the exact
-    ||A||_1 ||A^-1||_1 that is O(n^2) instead of an explicit inverse."""
+    ||A||_1 ||A^-1||_1 that is O(n^2) instead of an explicit inverse.  An
+    estimate above COND_LIMIT raises Singular."""
     K = system.K
     A = np.eye(2 * K, dtype=complex) + system.H
     lu, piv, info = scipy.linalg.lapack.zgetrf(A)
@@ -229,7 +229,7 @@ def solve_system(system: MainEquationSystem, cond_limit: float = 1e12):
     if info == 0:
         rcond, _ = scipy.linalg.lapack.zgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
     cond = float(1.0 / rcond) if rcond > 0 else np.inf  # rcond may be nan
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise Singular(f"main-equation matrix condition {cond:.3g} at x={system.x:.4f}")
     psi = scipy.linalg.lu_solve((lu, piv), system.psi_tilde, check_finite=False)
     resid = np.max(np.abs(A @ psi - system.psi_tilde))
@@ -254,21 +254,24 @@ def recover_phi(psi: np.ndarray, xi: np.ndarray):
 
 @dataclass(frozen=True)
 class PhiTable:
-    """Solved phi^K_{n,i} and x-derivatives on the uniform grid."""
+    """Solved phi^K_{n,i} and x-derivatives on the uniform grid, with the
+    context of the (data, model, K) triple they solve; every reconstruction
+    formula reads that triple from here."""
 
     x_grid: np.ndarray          # (n_x,)
     phi: np.ndarray             # (K, 2, n_x)
     dphi: np.ndarray            # (K, 2, n_x)
     cond: np.ndarray            # (n_x,)
+    ctx: MainEquationContext
 
     @property
     def K(self) -> int:
-        return self.phi.shape[0]
+        return self.ctx.K
 
 
 def solve_at_x(ctx: MainEquationContext, x: float):
     """phi values and derivatives at a single (possibly off-grid) x."""
-    system = build_system(ctx.sd, ctx.md, x, ctx=ctx)
+    system = build_system(ctx, x)
     psi, dpsi, cond = solve_system(system)
     phi0, phi1 = recover_phi(psi, ctx.xi)
     dphi0, dphi1 = recover_phi(dpsi, ctx.xi)
@@ -292,8 +295,10 @@ def solve_on_grid(sd: SpectralData, md: ModelData, K: int, n_x: int = 512,
                   ctx: MainEquationContext | None = None) -> PhiTable:
     """Build, factor and solve the system at every node of the uniform grid.
 
-    The loop runs with OpenBLAS on one thread (see _blas.single_thread); the
-    previous thread counts are restored when it ends or raises."""
+    ctx, when given, must be MainEquationContext(sd, md, K); the returned
+    table carries it.  The loop runs with OpenBLAS on one thread (see
+    _blas.single_thread); the previous thread counts are restored when it
+    ends or raises."""
     if ctx is None:
         ctx = MainEquationContext(sd, md, K)
     xs = np.linspace(0.0, PI, n_x)
@@ -309,4 +314,4 @@ def solve_on_grid(sd: SpectralData, md: ModelData, K: int, n_x: int = 512,
             phi[:, 0, ix], phi[:, 1, ix] = p0, p1
             dphi[:, 0, ix], dphi[:, 1, ix] = d0, d1
             cond[ix] = c
-    return PhiTable(x_grid=xs, phi=phi, dphi=dphi, cond=cond)
+    return PhiTable(x_grid=xs, phi=phi, dphi=dphi, cond=cond, ctx=ctx)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import cplx
-from .errors import BothZero, NotCoprime
+from .errors import BothZero, MalformedInput, NotCoprime
 
 ZERO_RTOL = 1e-10  # deflation threshold relative to the largest coefficient
 
@@ -223,6 +223,8 @@ class SigmaPolynomialInX(SigmaFunction):
 
     def __init__(self, coeffs):
         self.coeffs = tuple(complex(c) for c in coeffs)
+        if not self.coeffs:
+            raise ValueError("poly_x sigma needs at least one coefficient")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -348,13 +350,19 @@ def problem_to_json(prob) -> dict:
 
 
 def problem_from_json(data) -> FullProblem:
-    inner = ProblemL(
-        sigma=SigmaFunction.from_json(data["sigma"]),
-        r1=Polynomial.from_json(data["r1"]),
-        r2=Polynomial.from_json(data["r2"]),
-    )
-    return FullProblem(
-        p1=Polynomial.from_json(data.get("p1", [[1.0, 0.0]])),
-        p2=Polynomial.from_json(data.get("p2", [[0.0, 0.0]])),
-        inner=inner,
-    )
+    """FullProblem from a "problem.json" document; a document that breaks the
+    schema (a missing key, an unknown sigma kind, a value of the wrong type or
+    range) raises MalformedInput."""
+    try:
+        inner = ProblemL(
+            sigma=SigmaFunction.from_json(data["sigma"]),
+            r1=Polynomial.from_json(data["r1"]),
+            r2=Polynomial.from_json(data["r2"]),
+        )
+        return FullProblem(
+            p1=Polynomial.from_json(data.get("p1", [[1.0, 0.0]])),
+            p2=Polynomial.from_json(data.get("p2", [[0.0, 0.0]])),
+            inner=inner,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"problem: {exc!r}") from None

@@ -21,12 +21,15 @@ import numpy as np
 
 from ._util import phi_model, phi_model_dx, sqrt_lambda
 from .errors import ContourThroughPole, FitResidualTooLarge, UnsupportedCase
-from .maineq import MainEquationContext, PhiTable, solve_on_grid
+from .maineq import MainEquationContext, PhiTable, solve_at_x, solve_on_grid
 from .model import ModelData
 from .problem import Polynomial
 from .spectral import SpectralData, detect_M1
 
 PI = np.pi
+CONTOUR_MARGIN = 2      # contour indices added past the last one that must be inside
+FIT_RESID_TOL = 1e-3    # relative residual above which an r1/r2 fit is rejected
+QUAD_NODES = 256        # trapezoid nodes of the contour quadrature cross-checks
 
 
 @dataclass(frozen=True)
@@ -40,28 +43,24 @@ class ContourSpec:
         return (self.N + 0.5) ** 2
 
 
-def choose_contour(sd: SpectralData, md: ModelData, K: int, xi: np.ndarray,
-                   margin: int = 2) -> ContourSpec:
-    """Smallest contour index covering multiplicities, the low cluster zone and
-    the dominant-xi indices, plus a fixed margin."""
-    M1 = md.M1
+def choose_contour(ctx: MainEquationContext) -> ContourSpec:
+    """Smallest contour index covering the context's multiplicities, the low
+    cluster zone and the dominant-xi indices, plus CONTOUR_MARGIN."""
+    K, M1, xi = ctx.K, ctx.md.M1, ctx.xi
     need = {M1 + 1}
-    for h, m in zip(sd.heads, sd.sizes):
-        if m > 1:
-            need.add(h + m)  # 1-based end of the cluster
-    mds = md.spectral_data(K)
-    for h, m in zip(mds.heads, mds.sizes):
-        if m > 1:
-            need.add(h + m)
+    for fam_sd in (ctx.sd, ctx.mds):
+        for h, m in zip(fam_sd.heads, fam_sd.sizes):
+            if m > 1:
+                need.add(h + m)  # 1-based end of the cluster
     big = np.flatnonzero(xi > 0.5 * np.max(xi)) + 1 if np.max(xi) > 0 else []
     for n in big:
         need.add(int(n))
     n_max = max(need)
-    N = max(1, n_max - M1 - 1) + margin
+    N = max(1, n_max - M1 - 1) + CONTOUR_MARGIN
     N = min(N, K - 2)
     cont = ContourSpec(N)
-    for bump in range(4):
-        lams = np.concatenate([sd.lam[:K], mds.lam])
+    lams = np.concatenate([ctx.sd.lam, ctx.mds.lam])
+    for _ in range(4):
         if np.min(np.abs(np.abs(lams) - cont.radius)) > 1e-6 * cont.radius:
             return cont
         if cont.N + 1 > K - 2:
@@ -82,43 +81,36 @@ def _series_matrix(ctx: MainEquationContext, x: float, lam_s: np.ndarray):
     return ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
 
 
-def _phi_values_at(table: PhiTable, ctx: MainEquationContext, x: float):
+def _phi_values_at(table: PhiTable, x: float):
     """Table columns at a grid node, or a fresh per-x solve off the grid."""
     n_x = len(table.x_grid)
     ix = int(round(x / PI * (n_x - 1)))
     if 0 <= ix < n_x and abs(table.x_grid[ix] - x) < 1e-12:
         return (table.phi[:, 0, ix], table.phi[:, 1, ix],
                 table.dphi[:, 0, ix], table.dphi[:, 1, ix])
-    from .maineq import solve_at_x
-    p0, p1, d0, d1, _ = solve_at_x(ctx, x)
+    p0, p1, d0, d1, _ = solve_at_x(table.ctx, x)
     return p0, p1, d0, d1
 
 
-def phi_K_of_lambda(table: PhiTable, sd: SpectralData, md: ModelData,
-                    x: float, lam, ctx: MainEquationContext | None = None):
+def phi_K_of_lambda(table: PhiTable, x: float, lam):
     """phi^K(x, lam) by the finite series around the model solution."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
     lam_s = np.atleast_1d(np.asarray(lam, dtype=complex))
-    phi0, phi1, _, _ = _phi_values_at(table, ctx, x)
-    B0, B1 = _series_matrix(ctx, x, lam_s)
+    phi0, phi1, _, _ = _phi_values_at(table, x)
+    B0, B1 = _series_matrix(table.ctx, x, lam_s)
     out = phi_model(0, x, lam_s) - (B0 @ phi0 - B1 @ phi1)
     if np.ndim(lam) == 0:
         return complex(out[0])
     return out
 
 
-def dphi_K_dx(table: PhiTable, sd: SpectralData, md: ModelData,
-              x: float, lam, ctx: MainEquationContext | None = None):
+def dphi_K_dx(table: PhiTable, x: float, lam):
     """Exact x-derivative of phi^K(x, lam): differentiates both the kernel
     coefficients and the table values, no numerical differencing."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
     lam_s = np.atleast_1d(np.asarray(lam, dtype=complex))
-    phi0, phi1, dphi0, dphi1 = _phi_values_at(table, ctx, x)
-    B0, B1 = _series_matrix(ctx, x, lam_s)
+    phi0, phi1, dphi0, dphi1 = _phi_values_at(table, x)
+    B0, B1 = _series_matrix(table.ctx, x, lam_s)
     # dB[i][s, k] = phi_model(x, lam_s) * G_i[k]
-    G = ctx.g_vectors(x)
+    G = table.ctx.g_vectors(x)
     f0 = phi_model(0, x, lam_s)
     out = phi_model_dx(0, x, lam_s) \
         - (f0 * (G[0] @ phi0) + B0 @ dphi0 - f0 * (G[1] @ phi1) - B1 @ dphi1)
@@ -195,16 +187,12 @@ class SigmaResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def reconstruct_sigma(table: PhiTable, sd: SpectralData, md: ModelData,
-                      K: int | None = None,
-                      ctx: MainEquationContext | None = None) -> SigmaResult:
+def reconstruct_sigma(table: PhiTable) -> SigmaResult:
     """Residue form of the sigma series over all flattened poles n <= K."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, K or table.K)
-    K = ctx.K
+    K = table.K
     xs = table.x_grid
     n_x = len(xs)
-    raw = -2.0 * _residue_sum(ctx, _BOTH, phi_model, xs, table.phi, offset=0.5)
+    raw = -2.0 * _residue_sum(table.ctx, _BOTH, phi_model, xs, table.phi, offset=0.5)
 
     # endpoint repair: the series limit at pi carries a 2*d offset (d the top
     # padded coefficient of r2); extrapolate over the truncation bump
@@ -243,25 +231,24 @@ def _g_factor(ctx: MainEquationContext, lam_s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pole_sums_r(ctx: MainEquationContext, table: PhiTable, lam_s: np.ndarray,
-                 quasi_pi: np.ndarray | None):
+def _pole_sums_r(table: PhiTable, lam_s: np.ndarray, quasi_pi: np.ndarray | None):
     """The two data-pole partial-fraction sums of the r formulas.
 
     Returns (E_sum, S1) where E_sum(lam) = sum alpha phit' phiK / (lam - lam_k0)
     with cluster derivative terms, and S1 the same with the quasi-derivative
     values in place of phiK (None when quasi_pi is None).
     """
-    E = _residue_sum(ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_s)
+    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_s)
     S1 = None if quasi_pi is None else \
-        _residue_sum(ctx, _DATA, phi_model_dx, PI, quasi_pi[:, None], lam=lam_s)
+        _residue_sum(table.ctx, _DATA, phi_model_dx, PI, quasi_pi[:, None], lam=lam_s)
     return E, S1
 
 
-def _bc_constant_sum(ctx: MainEquationContext, table: PhiTable) -> complex:
+def _bc_constant_sum(table: PhiTable) -> complex:
     """S2 = sum over both families of alpha-weighted (phit phiK - 1) at pi.
 
     The boundary constant of the Robin case is b0 = -S2."""
-    return complex(_residue_sum(ctx, _BOTH, phi_model, PI, table.phi[:, :, -1],
+    return complex(_residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, -1],
                                 offset=1.0))
 
 
@@ -305,49 +292,44 @@ def _fit_poly(lam_s: np.ndarray, vals: np.ndarray, degree: int):
     return poly, float(resid)
 
 
-def reconstruct_r1(table: PhiTable, sd: SpectralData, md: ModelData,
-                   contour: ContourSpec, K: int | None = None,
-                   lam_samples: np.ndarray | None = None,
-                   ctx: MainEquationContext | None = None,
-                   resid_tol: float = 1e-3):
-    """Monic degree-M1 polynomial from the product-times-sum expression."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, K or table.K)
+def reconstruct_r1(table: PhiTable, contour: ContourSpec,
+                   lam_samples: np.ndarray | None = None):
+    """Monic degree-M1 polynomial from the product-times-sum expression, fitted
+    at lam_samples (default_lambda_samples when None); a relative fit residual
+    above FIT_RESID_TOL raises FitResidualTooLarge."""
+    ctx = table.ctx
     if lam_samples is None:
         lam_samples = default_lambda_samples(ctx, contour)
     lam_s = np.asarray(lam_samples, dtype=complex)
-    E, _ = _pole_sums_r(ctx, table, lam_s, None)
+    E, _ = _pole_sums_r(table, lam_s, None)
     vals = _g_factor(ctx, lam_s) * (1.0 - E)
-    coeffs, resid = _fit_poly(lam_s, vals, md.M1)
-    if resid > resid_tol:
+    coeffs, resid = _fit_poly(lam_s, vals, ctx.md.M1)
+    if resid > FIT_RESID_TOL:
         raise FitResidualTooLarge(f"r1 fit residual {resid:.3g}")
     lead = coeffs[-1]
     diag = {"fit_residual": resid, "leading_coeff_raw": complex(lead)}
     return Polynomial(coeffs / lead), diag
 
 
-def reconstruct_r2(table: PhiTable, sd: SpectralData, md: ModelData,
-                   contour: ContourSpec, K: int | None = None,
-                   lam_samples: np.ndarray | None = None,
+def reconstruct_r2(table: PhiTable, contour: ContourSpec,
                    sigma: SigmaResult | None = None,
-                   ctx: MainEquationContext | None = None,
-                   resid_tol: float = 1e-3):
+                   lam_samples: np.ndarray | None = None):
     """Degree <= M1 polynomial; the quasi-derivative at pi uses the raw series
-    value of sigma^K(pi)."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, K or table.K)
+    value of sigma^K(pi) (reconstruct_sigma(table) when sigma is None).  Fitted
+    and checked against FIT_RESID_TOL as in reconstruct_r1."""
+    ctx = table.ctx
     if sigma is None:
-        sigma = reconstruct_sigma(table, sd, md, ctx=ctx)
+        sigma = reconstruct_sigma(table)
     if lam_samples is None:
         lam_samples = default_lambda_samples(ctx, contour)
     lam_s = np.asarray(lam_samples, dtype=complex)
     ix = len(table.x_grid) - 1
     quasi_pi = table.dphi[:, 0, ix] - sigma.sigma_pi_raw * table.phi[:, 0, ix]
-    _, S1 = _pole_sums_r(ctx, table, lam_s, quasi_pi)
-    S2 = _bc_constant_sum(ctx, table)
+    _, S1 = _pole_sums_r(table, lam_s, quasi_pi)
+    S2 = _bc_constant_sum(table)
     vals = _g_factor(ctx, lam_s) * (S1 - S2)
-    coeffs, resid = _fit_poly(lam_s, vals, md.M1)
-    if resid > resid_tol:
+    coeffs, resid = _fit_poly(lam_s, vals, ctx.md.M1)
+    if resid > FIT_RESID_TOL:
         raise FitResidualTooLarge(f"r2 fit residual {resid:.3g}")
     diag = {"fit_residual": resid, "bc_constant": complex(-S2)}
     return Polynomial(coeffs), diag
@@ -380,81 +362,67 @@ def weyl_model(mu):
     return num / np.where(small, 1e-300, den)
 
 
-def sigma_contour_residue(table, sd, md, contour: ContourSpec, x: float,
-                          ctx: MainEquationContext | None = None) -> complex:
+def sigma_contour_residue(table: PhiTable, contour: ContourSpec, x: float) -> complex:
     """Residue evaluation of -(1/pi i) oint (phit phiK - 1/2) hatM dmu over
-    the poles inside the contour."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
+    the poles inside the contour; x must be a grid node."""
     ix = _grid_index(table, x)
-    total = _residue_sum(ctx, _BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
+    total = _residue_sum(table.ctx, _BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
                          radius=contour.radius)
     return complex(-2.0 * total)
 
 
-def sigma_contour_quadrature(table, sd, md, contour: ContourSpec, x: float,
-                             n_nodes: int = 256,
-                             ctx: MainEquationContext | None = None) -> complex:
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
-    th = np.exp(2j * PI * (np.arange(n_nodes) + 0.5) / n_nodes)
-    mu = contour.radius * th
-    phiK = phi_K_of_lambda(table, sd, md, x, mu, ctx=ctx)
-    integrand = (phi_model(0, x, mu) * phiK - 0.5) * weyl_difference_truncated(ctx, mu)
+def _circle_nodes(contour: ContourSpec) -> np.ndarray:
+    """QUAD_NODES midpoint nodes of the trapezoid rule on the contour circle."""
+    th = np.exp(2j * PI * (np.arange(QUAD_NODES) + 0.5) / QUAD_NODES)
+    return contour.radius * th
+
+
+def sigma_contour_quadrature(table: PhiTable, contour: ContourSpec, x: float) -> complex:
+    """sigma_contour_residue's integral by the trapezoid rule on the circle."""
+    mu = _circle_nodes(contour)
+    phiK = phi_K_of_lambda(table, x, mu)
+    integrand = (phi_model(0, x, mu) * phiK - 0.5) * weyl_difference_truncated(table.ctx, mu)
     return complex(-2.0 * np.mean(integrand * mu))
 
 
-def r1_contour_residue(table, sd, md, contour: ContourSpec, lam: complex,
-                       ctx: MainEquationContext | None = None) -> complex:
+def r1_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex) -> complex:
     """-(1/2 pi i) oint phit'(pi) phiK(pi) M(mu) / (lam - mu) dmu as residues."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
-    total = _residue_sum(ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam,
+    total = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam,
                          radius=contour.radius)
     return complex(-total)
 
 
-def r1_contour_quadrature(table, sd, md, contour: ContourSpec, lam: complex,
-                          n_nodes: int = 256,
-                          ctx: MainEquationContext | None = None) -> complex:
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
-    th = np.exp(2j * PI * (np.arange(n_nodes) + 0.5) / n_nodes)
-    mu = contour.radius * th
-    phiK = phi_K_of_lambda(table, sd, md, PI, mu, ctx=ctx)
-    Mmu = weyl_model(mu) + weyl_difference_truncated(ctx, mu)
+def r1_contour_quadrature(table: PhiTable, contour: ContourSpec, lam: complex) -> complex:
+    """r1_contour_residue's integral by the trapezoid rule on the circle."""
+    mu = _circle_nodes(contour)
+    phiK = phi_K_of_lambda(table, PI, mu)
+    Mmu = weyl_model(mu) + weyl_difference_truncated(table.ctx, mu)
     integrand = phi_model_dx(0, PI, mu) * phiK * Mmu / (lam - mu)
     return complex(-np.mean(integrand * mu))
 
 
-def r2_contour_residue(table, sd, md, contour: ContourSpec, lam: complex,
-                       sigma_pi_raw: complex,
-                       ctx: MainEquationContext | None = None):
+def r2_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex,
+                       sigma_pi_raw: complex):
     """The two r2 contour terms as residue sums: (quasi-derivative integral
     against M, boundary integral against hatM)."""
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
     ix = len(table.x_grid) - 1
     quasi = table.dphi[:, 0, ix] - sigma_pi_raw * table.phi[:, 0, ix]
-    t_quasi = _residue_sum(ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam,
+    t_quasi = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam,
                            radius=contour.radius)
-    t_bc = _residue_sum(ctx, _BOTH, phi_model, PI, table.phi[:, :, ix], offset=1.0,
+    t_bc = _residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, ix], offset=1.0,
                         radius=contour.radius)
     return complex(t_quasi), complex(-t_bc)
 
 
-def r2_contour_quadrature(table, sd, md, contour: ContourSpec, lam: complex,
-                          sigma_pi_raw: complex, n_nodes: int = 256,
-                          ctx: MainEquationContext | None = None):
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, table.K)
-    th = np.exp(2j * PI * (np.arange(n_nodes) + 0.5) / n_nodes)
-    mu = contour.radius * th
-    phiK = phi_K_of_lambda(table, sd, md, PI, mu, ctx=ctx)
-    dphiK = dphi_K_dx(table, sd, md, PI, mu, ctx=ctx)
+def r2_contour_quadrature(table: PhiTable, contour: ContourSpec, lam: complex,
+                          sigma_pi_raw: complex):
+    """r2_contour_residue's two integrals by the trapezoid rule on the circle."""
+    mu = _circle_nodes(contour)
+    phiK = phi_K_of_lambda(table, PI, mu)
+    dphiK = dphi_K_dx(table, PI, mu)
     quasi = dphiK - sigma_pi_raw * phiK
-    Mmu = weyl_model(mu) + weyl_difference_truncated(ctx, mu)
-    hatM = weyl_difference_truncated(ctx, mu)
+    hatM = weyl_difference_truncated(table.ctx, mu)
+    Mmu = weyl_model(mu) + hatM
     t_quasi = np.mean(phi_model_dx(0, PI, mu) * quasi * Mmu / (lam - mu) * mu)
     t_bc = -np.mean((phi_model(0, PI, mu) * phiK - 1.0) * hatM * mu)
     return complex(t_quasi), complex(t_bc)
@@ -496,10 +464,10 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
     md = ModelData(m1)
     ctx = MainEquationContext(sd, md, K)
     table = solve_on_grid(sd, md, K, n_x=n_x, ctx=ctx)
-    contour = ContourSpec(N) if N is not None else choose_contour(sd, md, K, ctx.xi)
-    sigma = reconstruct_sigma(table, sd, md, ctx=ctx)
-    r1, diag1 = reconstruct_r1(table, sd, md, contour, ctx=ctx)
-    r2, diag2 = reconstruct_r2(table, sd, md, contour, sigma=sigma, ctx=ctx)
+    contour = ContourSpec(N) if N is not None else choose_contour(ctx)
+    sigma = reconstruct_sigma(table)
+    r1, diag1 = reconstruct_r1(table, contour)
+    r2, diag2 = reconstruct_r2(table, contour, sigma=sigma)
     diagnostics = {
         "cond_max": float(np.max(table.cond)),
         "cond_median": float(np.median(table.cond)),

@@ -21,6 +21,8 @@ from .reconstruct import ReconstructionResult, invert_spectral_data
 from .spectral import SpectralData
 
 PI = np.pi
+N_X_FORWARD = 1024          # grid of the correction pass's forward solve
+EDGE_BANDS = (0.04, 0.12)   # left/right boundary bands of sigma, fractions of pi
 
 
 def smooth_grid(values: np.ndarray, x_grid: np.ndarray, width: float) -> np.ndarray:
@@ -64,57 +66,43 @@ class RefinedResult:
     r1: Polynomial
     r2: Polynomial
     base: ReconstructionResult
-    passes: int
     diagnostics: dict
 
 
 def invert_refined(sd: SpectralData, K: int | None = None, n_x: int = 512,
-                   N: int | None = None, passes: int = 1,
-                   n_x_forward: int = 1024) -> RefinedResult:
-    """invert_spectral_data plus defect-correction passes.
+                   N: int | None = None) -> RefinedResult:
+    """invert_spectral_data plus one defect-correction pass.
 
-    Each pass forwards the current smoothed estimate, inverts the synthetic
-    data at the same truncation and adds back the difference of the two
-    smoothed reconstructions.  With passes = 0 this is the plain inversion.
+    The pass forwards the smoothed reconstruction (on N_X_FORWARD nodes),
+    inverts the synthetic data at the same truncation and adds back the
+    difference of the two smoothed reconstructions.
     """
     K = sd.K if K is None else K
     res0 = invert_spectral_data(sd, K=K, n_x=n_x, N=N)
     xs = res0.x_grid
     width = PI / K
-    if passes == 0:
-        return RefinedResult(x_grid=xs, sigma=res0.sigma, r1=res0.r1, r2=res0.r2,
-                             base=res0, passes=0, diagnostics=dict(res0.diagnostics))
-
     sig0_s = smooth_grid(res0.sigma, xs, width)
-    sig_est = sig0_s.copy()
-    r1_est, r2_est = res0.r1, res0.r2
-    corrections = []
-    for _ in range(passes):
-        prob = ProblemL(SigmaGridSamples(_realify(sig_est)),
-                        Polynomial(_realify(r1_est.coeffs)),
-                        Polynomial(_realify(r2_est.coeffs)))
-        sd_p = forward_spectral_data(prob, K, n_x_forward)
-        res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
-        delta = sig0_s - smooth_grid(res_p.sigma, xs, width)
-        sig_est = sig_est + delta
-        r1_est = _poly_shift(r1_est, res0.r1, res_p.r1)
-        r2_est = _poly_shift(r2_est, res0.r2, res_p.r2)
-        corrections.append(float(np.max(np.abs(delta))))
+    prob = ProblemL(SigmaGridSamples(_realify(sig0_s)),
+                    Polynomial(_realify(res0.r1.coeffs)),
+                    Polynomial(_realify(res0.r2.coeffs)))
+    sd_p = forward_spectral_data(prob, K, N_X_FORWARD)
+    res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
+    delta = sig0_s - smooth_grid(res_p.sigma, xs, width)
+    sig_est = sig0_s + delta
+    r1_est = _poly_shift(res0.r1, res0.r1, res_p.r1)
+    r2_est = _poly_shift(res0.r2, res0.r2, res_p.r2)
     diagnostics = dict(res0.diagnostics)
-    diagnostics["refine_corrections"] = corrections
+    diagnostics["refine_corrections"] = [float(np.max(np.abs(delta)))]
     diagnostics["bc_constant_refined"] = complex(r2_est.coeffs[0]) if r2_est.coeffs else 0j
     return RefinedResult(x_grid=xs, sigma=sig_est, r1=r1_est, r2=r2_est,
-                         base=res0, passes=passes, diagnostics=diagnostics)
+                         base=res0, diagnostics=diagnostics)
 
 
-def recover_q(sigma_values: np.ndarray, x_grid: np.ndarray, K: int,
-              edge_bands=(0.04, 0.12)):
+def recover_q(sigma_values: np.ndarray, x_grid: np.ndarray, K: int):
     """q = sigma' for the smooth layer: tone-nulling smoothing, five-point
-    stencils, and quadratic extrapolation across the boundary bands where the
-    series reconstruction is least trustworthy.
-
-    edge_bands are the left/right band widths as fractions of pi.  Returns
-    (q_values, diagnostics).
+    stencils, and quadratic extrapolation across the EDGE_BANDS, where the
+    series reconstruction is least trustworthy.  Returns (q_values,
+    diagnostics).
     """
     xs = np.asarray(x_grid, dtype=float)
     h = xs[1] - xs[0]
@@ -122,22 +110,23 @@ def recover_q(sigma_values: np.ndarray, x_grid: np.ndarray, K: int,
     q = np.gradient(sig, h, edge_order=2)
     q[2:-2] = (sig[:-4] - 8 * sig[1:-3] + 8 * sig[3:-1] - sig[4:]) / (12 * h)
     n = len(xs)
-    lo_band = int(edge_bands[0] * n)
-    hi_band = n - int(edge_bands[1] * n)
+    lo_band = int(EDGE_BANDS[0] * n)
+    hi_band = n - int(EDGE_BANDS[1] * n)
     for sel, fit in ((slice(0, lo_band), slice(lo_band, lo_band + max(n // 6, 8))),
                      (slice(hi_band, n), slice(hi_band - max(n // 6, 8), hi_band))):
         if sel.start >= sel.stop:
             continue
         coef = np.polyfit(xs[fit], q[fit], 2)
         q[sel] = np.polyval(coef, xs[sel])
-    diagnostics = {"smooth_width": PI / K, "edge_bands": tuple(edge_bands)}
+    diagnostics = {"smooth_width": PI / K, "edge_bands": EDGE_BANDS}
     return q, diagnostics
 
 
 def rebuild_sigma_tail(sigma_values: np.ndarray, q_values: np.ndarray,
-                       x_grid: np.ndarray, K: int, band: float = 0.12):
-    """Replace the right boundary band of sigma by integrating the recovered q
-    from the last trusted node; returns (sigma_fixed, sigma_at_pi).
+                       x_grid: np.ndarray):
+    """Replace the right boundary band of sigma (EDGE_BANDS[1]) by integrating
+    the recovered q from the last trusted node; returns (sigma_fixed,
+    sigma_at_pi).
 
     The series reconstruction of sigma is least reliable against the right
     endpoint; for the smooth layer the antiderivative of q is the better
@@ -145,7 +134,7 @@ def rebuild_sigma_tail(sigma_values: np.ndarray, q_values: np.ndarray,
     xs = np.asarray(x_grid, dtype=float)
     sig = np.asarray(sigma_values).copy()
     n = len(xs)
-    hi = n - int(band * n)
+    hi = n - int(EDGE_BANDS[1] * n)
     h = xs[1] - xs[0]
     tail = np.cumsum(0.5 * (q_values[hi:] + q_values[hi - 1:-1])) * h
     sig[hi:] = sig[hi - 1] + tail

@@ -12,24 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FitUnstable
-from .maineq import MainEquationContext, PhiTable
-from .model import ModelData
+from .maineq import PhiTable
 from .problem import Polynomial
 from .reconstruct import SigmaResult, _bc_constant_sum, reconstruct_sigma
-from .spectral import SpectralData
+
+RHO_MAGS = np.linspace(20.0, 80.0, 13)  # |rho| sample points of the b_N2 fit
 
 
-def estimate_bN2(m1_fn, N1: int, rho_mags=None) -> complex:
+def estimate_bN2(m1_fn, N1: int) -> complex:
     """Leading coefficient of p2 from the large-|lambda| behavior of the Weyl
     function on the negative real axis.
 
     With rho = -i t (the branch with arg rho in [-pi/2, pi/2)), the quantity
-    i rho (1 + i rho lam^N1 M1(lam)) tends to b_{N2}; a linear fit in 1/t
-    removes the first-order remainder.
+    i rho (1 + i rho lam^N1 M1(lam)) tends to b_{N2}; a linear fit in 1/t at
+    t in RHO_MAGS removes the first-order remainder.
     """
-    if rho_mags is None:
-        rho_mags = np.linspace(20.0, 80.0, 13)
-    t = np.asarray(rho_mags, dtype=float)
+    t = RHO_MAGS
     lam = -(t**2) + 0j
     rho = -1j * t
     m1v = np.asarray(m1_fn(lam), dtype=complex)
@@ -63,18 +61,16 @@ def check_r2_shift(r2: Polynomial, r1: Polynomial, sigma_pi: complex) -> Polynom
     return Polynomial(c2)
 
 
-def robin_constants(table: PhiTable, sd: SpectralData, md: ModelData,
-                    K: int | None = None, sigma: SigmaResult | None = None,
-                    ctx: MainEquationContext | None = None):
-    """(b0, b0_check) for the constant-condition case M1 = 0.
+def robin_constants(table: PhiTable, sigma: SigmaResult | None = None):
+    """(b0, b0_check) for the constant-condition case M1 = 0 of the table's
+    model.
 
     b0 is the large-|lambda| limit of the r2 expression (minus the boundary
-    constant sum); b0_check subtracts the reconstructed sigma(pi)."""
-    if md.M1 != 0:
+    constant sum); b0_check subtracts the reconstructed sigma(pi)
+    (reconstruct_sigma(table) when sigma is None)."""
+    if table.ctx.md.M1 != 0:
         raise ValueError("robin_constants applies to the M1 = 0 case")
-    if ctx is None:
-        ctx = MainEquationContext(sd, md, K or table.K)
     if sigma is None:
-        sigma = reconstruct_sigma(table, sd, md, ctx=ctx)
-    b0 = -_bc_constant_sum(ctx, table)
+        sigma = reconstruct_sigma(table)
+    b0 = -_bc_constant_sum(table)
     return complex(b0), complex(b0 - sigma.sigma_pi)

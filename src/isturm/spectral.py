@@ -25,6 +25,8 @@ class EigenRecord:
     alpha_coeffs: tuple
 
     def __post_init__(self):
+        if self.multiplicity < 1:
+            raise ValueError(f"multiplicity {self.multiplicity} is not positive")
         if self.alpha_coeffs and len(self.alpha_coeffs) != self.multiplicity:
             raise ValueError("alpha_coeffs length must equal multiplicity")
 
@@ -94,8 +96,11 @@ class SpectralData:
         return out
 
     def truncated(self, K: int) -> "SpectralData":
-        """First K flattened entries; never splits a cluster."""
-        if K >= self.K:
+        """First K flattened entries; never splits a cluster or reads past
+        the stored entries."""
+        if K > self.K:
+            raise MalformedInput(f"truncation K={K} exceeds the {self.K} stored entries")
+        if K == self.K:
             return self
         for h, m in zip(self.heads, self.sizes):
             if h < K < h + m:
@@ -218,6 +223,9 @@ def spectral_data_from_json(data) -> SpectralData:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"eigs[{i}]: {exc!r}") from None
-    m1 = data.get("M1", -1)
-    return SpectralData.from_records(records, m1=None if m1 < 0 else int(m1),
+    try:
+        m1 = int(data.get("M1", -1))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"M1: {exc!r}") from None
+    return SpectralData.from_records(records, m1=None if m1 < 0 else m1,
                                      case=data.get("case"))

@@ -62,7 +62,7 @@ def roundtrip(prob, K: int, n_x_forward: int = 1024, n_x_inverse: int = 512,
 
 
 def regular_roundtrip(full: FullProblem, K: int, n_x_forward: int = 1024,
-                      n_x_inverse: int = 512, passes: int = 1) -> dict:
+                      n_x_inverse: int = 512) -> dict:
     """Both-ends polynomial problem: recover b_N2 from the Weyl asymptotics,
     run the inner round trip with defect correction, and transfer back to the
     classical form (q, r2_check)."""
@@ -79,10 +79,10 @@ def regular_roundtrip(full: FullProblem, K: int, n_x_forward: int = 1024,
     t0 = time.perf_counter()
     sd = forward_spectral_data(inner, K, n_x_forward)
     t1 = time.perf_counter()
-    ref = invert_refined(sd, K=K, n_x=n_x_inverse, passes=passes)
+    ref = invert_refined(sd, K=K, n_x=n_x_inverse)
     t2 = time.perf_counter()
     q, qdiag = recover_q(ref.sigma, ref.x_grid, K)
-    sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid, K)
+    sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
     report = {
         "K": K,
         "t_forward": t1 - t0,

@@ -195,7 +195,7 @@ def test_criterion_8_truncation_bound(step_sd160):
         ctx = MainEquationContext(sd2, md, 2 * K)
         ratios = []
         for x in (PI / 2, 0.9 * PI):
-            sys2 = build_system(sd2, md, x, ctx=ctx)
+            sys2 = build_system(ctx, x)
             H2 = sys2.H
             H1 = H2.copy()
             H1[:, 2 * K:] = 0.0
@@ -209,26 +209,26 @@ def test_criterion_8_truncation_bound(step_sd160):
             f"fitted C at K=20,40,80: {c[0]:.2f}, {c[1]:.2f}, {c[2]:.2f}")
 
 
-def _criterion_9_checks(sd, md, ctx, table, contour):
-    sig = reconstruct_sigma(table, sd, md, ctx=ctx)
+def _criterion_9_checks(table, contour):
+    sig = reconstruct_sigma(table)
     diffs = []
     for ix in (len(table.x_grid) // 3, len(table.x_grid) - 1):
         x = table.x_grid[ix]
-        diffs.append(abs(sigma_contour_residue(table, sd, md, contour, x, ctx=ctx)
-                         - sigma_contour_quadrature(table, sd, md, contour, x, ctx=ctx)))
+        diffs.append(abs(sigma_contour_residue(table, contour, x)
+                         - sigma_contour_quadrature(table, contour, x)))
     lam = contour.radius + 9.0 + 0.5j
-    diffs.append(abs(r1_contour_residue(table, sd, md, contour, lam, ctx=ctx)
-                     - r1_contour_quadrature(table, sd, md, contour, lam, ctx=ctx)))
-    rq, rb = r2_contour_residue(table, sd, md, contour, lam, sig.sigma_pi_raw, ctx=ctx)
-    qq, qb = r2_contour_quadrature(table, sd, md, contour, lam, sig.sigma_pi_raw, ctx=ctx)
+    diffs.append(abs(r1_contour_residue(table, contour, lam)
+                     - r1_contour_quadrature(table, contour, lam)))
+    rq, rb = r2_contour_residue(table, contour, lam, sig.sigma_pi_raw)
+    qq, qb = r2_contour_quadrature(table, contour, lam, sig.sigma_pi_raw)
     diffs.extend([abs(rq - qq), abs(rb - qb)])
     return max(diffs)
 
 
 def test_criterion_9_residue_vs_quadrature(poly60_inversion):
     prob, sd, md, ctx, table = poly60_inversion
-    contour = choose_contour(sd, md, 60, ctx.xi)
-    worst = _criterion_9_checks(sd, md, ctx, table, contour)
+    contour = choose_contour(ctx)
+    worst = _criterion_9_checks(table, contour)
     ok = worst < 1e-6
     _report("criterion 9 (residue vs quadrature, fixture 3)", ok,
             f"worst contour-term mismatch={worst:.2e} at N={contour.N}")
@@ -237,10 +237,10 @@ def test_criterion_9_residue_vs_quadrature(poly60_inversion):
 def test_criterion_10_degree_reduction(poly60_inversion):
     prob, sd, md, ctx, table = poly60_inversion
     lam_n1 = md.spectral_data(60).lam[1:]  # n = 2..60 > M1
-    E, _ = _pole_sums_r(ctx, table, lam_n1, None)
+    E, _ = _pole_sums_r(table, lam_n1, None)
     worst = float(np.max(np.abs(1.0 - E)))
-    contour = choose_contour(sd, md, 60, ctx.xi)
-    _, diag = reconstruct_r1(table, sd, md, contour, ctx=ctx)
+    contour = choose_contour(ctx)
+    _, diag = reconstruct_r1(table, contour)
     ok = worst < 1e-6 and diag["fit_residual"] < 1e-3
     _report("criterion 10 (degree reduction identity)", ok,
             f"max |E1(lam_n1)|={worst:.2e}, fit residual={diag['fit_residual']:.2e}")
@@ -299,13 +299,13 @@ def test_criterion_11_multiplicity_path():
     res = invert_spectral_data(sd, K=K, n_x=257, m1=0)
     ctx = MainEquationContext(sd, md, K)
     table = solve_on_grid(sd, md, K, n_x=257, ctx=ctx)
-    contour = choose_contour(sd, md, K, ctx.xi)
-    worst9 = _criterion_9_checks(sd, md, ctx, table, contour)
+    contour = choose_contour(ctx)
+    worst9 = _criterion_9_checks(table, contour)
     # the identity is evaluable only where the model point does not coincide
     # with a data pole (the coincident terms are removable singularities)
     lam_n1 = md.spectral_data(K).lam
     clean = lam_n1[np.min(np.abs(lam_n1[:, None] - sd.lam[None, :]), axis=1) > 1e-6]
-    E, _ = _pole_sums_r(ctx, table, clean, None)
+    E, _ = _pole_sums_r(table, clean, None)
     worst10 = float(np.max(np.abs(1.0 - E)))
     ok = count_ok and worst9 < 1e-6 and worst10 < 1e-6
     _report("criterion 11 (multiplicity path)", ok,

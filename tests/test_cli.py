@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from isturm import Polynomial, ProblemL, SigmaZero, problem_to_json
+from isturm import Polynomial, ProblemL, SigmaStep, SigmaZero, problem_to_json
 from isturm._util import write_json_atomic
 from isturm.cli import main
 from isturm.spectral import spectral_data_from_json
@@ -101,7 +101,9 @@ def test_missing_config_is_io_error(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["no-multiplicity", "alpha-length", "K-splits-cluster",
-                                  "no-eigs", "lambda-one-element", "alpha-bare-number"])
+                                  "no-eigs", "lambda-one-element", "alpha-bare-number",
+                                  "M1-string", "multiplicity-zero",
+                                  "multiplicity-negative", "K-exceeds-data"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -118,12 +120,44 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         data["eigs"][1]["lambda"] = [1.0]
     elif case == "alpha-bare-number":
         data["eigs"][1]["alpha"] = [0.5]
+    elif case == "M1-string":
+        data["M1"] = "x"
+    elif case == "multiplicity-zero":
+        data["eigs"][1]["multiplicity"] = 0
+        data["eigs"][1]["alpha"] = []
+    elif case == "multiplicity-negative":
+        data["eigs"][1]["multiplicity"] = -1
+        data["eigs"][1]["alpha"] = []
+    elif case == "K-exceeds-data":
+        K = "20"
     else:
         K = "2"
     write_json_atomic(sd_path, data)
     capsys.readouterr()
     code = main(["invert", "--config", str(sd_path), "--K", K, "--nx", "65",
                  "--out", str(tmp_path / "rec.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip", "invert"])
+@pytest.mark.parametrize("case", ["no-height", "unknown-kind", "not-json"])
+def test_malformed_problem_exit_code(tmp_path, capsys, command, case):
+    cfg = tmp_path / "problem.json"
+    if case == "not-json":
+        cfg.write_text("{not json")
+    else:
+        _write_problem(cfg, [1], [1], sigma=SigmaStep(1.0, PI / 2))
+        data = json.loads(cfg.read_text())
+        if case == "no-height":
+            del data["sigma"]["height"]
+        else:
+            data["sigma"]["kind"] = "wavelet"
+        write_json_atomic(cfg, data)
+    capsys.readouterr()
+    code = main([command, "--config", str(cfg), "--K", "5", "--nx", "65",
+                 "--out", str(tmp_path / "out.json")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err

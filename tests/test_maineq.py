@@ -29,7 +29,7 @@ def _perturbed_data(K, shift=0.1):
 def test_build_system_model_data_is_trivial():
     md = ModelData(1)
     sd = md.spectral_data(8)
-    sys = build_system(sd, md, 1.3)
+    sys = build_system(MainEquationContext(sd, md), 1.3)
     assert np.max(np.abs(sys.H)) < 1e-12
     assert np.max(np.abs(sys.psi_tilde[0::2])) < 1e-12
     # psi_{n1} = phi~_{n,1}(x): cos((n-2)x) beyond the double zero cluster
@@ -43,7 +43,7 @@ def test_build_system_matches_hand_assembly():
     sd, md = _perturbed_data(2)
     x = 1.1
     xi, chi = xi_chi(sd, md)
-    sys = build_system(sd, md, x)
+    sys = build_system(MainEquationContext(sd, md), x)
     Q = {(n, i, k, j): q_coefficients(sd, md, x, n, i, k, j)
          for n in (1, 2) for i in (0, 1) for k in (1, 2) for j in (0, 1)}
     for n in (1, 2):
@@ -87,7 +87,7 @@ def test_entry_bound_pattern(step_sd40):
     _, sd = step_sd40
     md = ModelData(0)
     ctx = MainEquationContext(sd, md, 40)
-    sys = build_system(sd, md, PI / 3, ctx=ctx)
+    sys = build_system(ctx, PI / 3)
     K = 40
     n_idx = np.repeat(np.arange(K), 2).reshape(2 * K, 1)
     k_idx = np.repeat(np.arange(K), 2).reshape(1, 2 * K)
@@ -102,7 +102,7 @@ def test_entry_bound_pattern(step_sd40):
 def test_solve_system_identity_when_H_zero():
     md = ModelData(0)
     sd = md.spectral_data(6)
-    sys = build_system(sd, md, 0.7)
+    sys = build_system(MainEquationContext(sd, md), 0.7)
     psi, _, cond = solve_system(sys)
     np.testing.assert_allclose(psi, sys.psi_tilde, atol=1e-13)
     assert cond < 10
@@ -111,7 +111,7 @@ def test_solve_system_identity_when_H_zero():
 def test_solve_system_scalar_case():
     # (1 + h) psi = psi~ with a 1x1 block structure faked through K=1
     sd, md = _perturbed_data(1, shift=0.05)
-    sys = build_system(sd, md, 1.0)
+    sys = build_system(MainEquationContext(sd, md), 1.0)
     psi, _, _ = solve_system(sys)
     want = np.linalg.solve(np.eye(2) + sys.H, sys.psi_tilde)
     np.testing.assert_allclose(psi, want, atol=1e-12)
@@ -120,7 +120,7 @@ def test_solve_system_scalar_case():
 def test_solve_system_vs_lu_oracle():
     # independent LU route on a well-conditioned random system
     sd, md = _perturbed_data(5)
-    sys = build_system(sd, md, 2.0)
+    sys = build_system(MainEquationContext(sd, md), 2.0)
     psi, _, _ = solve_system(sys)
     A = np.eye(10) + sys.H
     lu, piv = scipy.linalg.lu_factor(A.copy())
@@ -133,7 +133,7 @@ def test_solve_system_vs_lu_oracle():
 def test_solve_system_singular_raises():
     md = ModelData(0)
     sd = md.spectral_data(2)
-    sys = build_system(sd, md, 0.9)
+    sys = build_system(MainEquationContext(sd, md), 0.9)
     bad = sys.__class__(K=sys.K, x=sys.x, psi_tilde=sys.psi_tilde,
                         H=-np.eye(4) + 1e-15 * sys.H,
                         dpsi_tilde=sys.dpsi_tilde, dH=sys.dH)
@@ -154,7 +154,7 @@ def test_condition_estimate_vs_exact(step_sd40):
     cases += [((step, md0), x) for x in (PI / 3, PI / 2, 2.9)]
     cases += [((ModelData(1).spectral_data(8), ModelData(1)), 1.3)]
     for (sd, md), x in cases:
-        sys = build_system(sd, md, x, K=min(sd.K, 40))
+        sys = build_system(MainEquationContext(sd, md, min(sd.K, 40)), x)
         _, _, est = solve_system(sys)
         exact = np.linalg.cond(np.eye(2 * sys.K) + sys.H, 1)
         assert exact / 10 <= est <= exact * (1 + 1e-12), (x, est, exact)
@@ -262,7 +262,7 @@ def test_H_truncation_tail_decay(step_sd40):
     _, sd = step_sd40
     md = ModelData(0)
     ctx40 = MainEquationContext(sd, md, 40)
-    sys40 = build_system(sd, md, PI / 2, ctx=ctx40)
+    sys40 = build_system(ctx40, PI / 2)
     H40 = sys40.H
     H20 = H40.copy()
     H20[:, 2 * 20:] = 0.0
@@ -297,7 +297,7 @@ def test_dump_system(tmp_path):
     from isturm.maineq import dump_system
     md = ModelData(0)
     sd = md.spectral_data(3)
-    sys = build_system(sd, md, 1.0)
+    sys = build_system(MainEquationContext(sd, md), 1.0)
     psi, _, cond = solve_system(sys)
     path = tmp_path / "dump.json"
     dump_system(sys, psi, cond, path)

@@ -22,9 +22,7 @@ def _perturbed(K, shift=0.1):
     lam = base.lam.copy()
     lam[0] = lam[0] + shift
     sd = SpectralData.from_flat(lam, base.alpha)
-    ctx = MainEquationContext(sd, md, K)
-    table = solve_on_grid(sd, md, K, n_x=129, ctx=ctx)
-    return sd, md, ctx, table
+    return sd, solve_on_grid(sd, md, K, n_x=129)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +41,7 @@ def _clustered(K, m):
     alpha[:m] = [0.9 + 0.1j, 0.2 - 0.25j, 0.05 + 0.03j][:m]
     sd = SpectralData.from_flat(lam, alpha)
     assert sd.sizes[0] == m
-    ctx = MainEquationContext(sd, md, K)
-    table = solve_on_grid(sd, md, K, n_x=129, ctx=ctx)
-    return sd, md, ctx, table
+    return sd, solve_on_grid(sd, md, K, n_x=129)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["double", "triple"])
@@ -56,21 +52,20 @@ def clustered20(request):
 def test_phi_K_model_is_cosine():
     md = ModelData(0)
     sd = md.spectral_data(10)
-    ctx = MainEquationContext(sd, md, 10)
-    table = solve_on_grid(sd, md, 10, n_x=65, ctx=ctx)
+    table = solve_on_grid(sd, md, 10, n_x=65)
     lam = 2.6 + 0.8j
     x = table.x_grid[40]
-    got = phi_K_of_lambda(table, sd, md, x, lam, ctx=ctx)
+    got = phi_K_of_lambda(table, x, lam)
     from isturm._util import sqrt_lambda
     assert abs(got - np.cos(sqrt_lambda(lam) * x)) < 1e-12
 
 
 def _check_interpolation(data, lo):
     # phi^K at a simple data pole reproduces that pole's table column
-    sd, md, ctx, table = data
+    sd, table = data
     ix = 64
     x = table.x_grid[ix]
-    vals = phi_K_of_lambda(table, sd, md, x, sd.lam[lo:lo + 6], ctx=ctx)
+    vals = phi_K_of_lambda(table, x, sd.lam[lo:lo + 6])
     np.testing.assert_allclose(vals, table.phi[lo:lo + 6, 0, ix], atol=1e-10)
 
 
@@ -86,39 +81,37 @@ def test_phi_K_interpolation_property_clustered(clustered20):
 def test_phi_K_matches_integrator_for_step_problem(step_sd40):
     prob, sd = step_sd40
     md = ModelData(0)
-    ctx = MainEquationContext(sd, md, 40)
-    table = solve_on_grid(sd, md, 40, n_x=129, ctx=ctx)
+    table = solve_on_grid(sd, md, 40, n_x=129)
     lam_star = 2.3 + 0.7j
     tr = integrate_solution(prob.sigma, lam_star, (1.0, 0.0), "ltr", 129)
     for ix in (32, 64, 96):
-        got = phi_K_of_lambda(table, sd, md, table.x_grid[ix], lam_star, ctx=ctx)
+        got = phi_K_of_lambda(table, table.x_grid[ix], lam_star)
         assert abs(got - tr.y[ix]) < 5e-3
     # truncation is weakest against the right endpoint
-    got_pi = phi_K_of_lambda(table, sd, md, table.x_grid[128], lam_star, ctx=ctx)
+    got_pi = phi_K_of_lambda(table, table.x_grid[128], lam_star)
     assert abs(got_pi - tr.y[128]) < 2e-2
 
 
 def test_dphi_K_model_value():
     md = ModelData(0)
     sd = md.spectral_data(10)
-    ctx = MainEquationContext(sd, md, 10)
-    table = solve_on_grid(sd, md, 10, n_x=65, ctx=ctx)
+    table = solve_on_grid(sd, md, 10, n_x=65)
     lam = 3.1 - 0.5j
     x = table.x_grid[30]
     from isturm._util import sqrt_lambda
     rho = complex(sqrt_lambda(lam))
-    got = dphi_K_dx(table, sd, md, x, lam, ctx=ctx)
+    got = dphi_K_dx(table, x, lam)
     assert abs(got - (-rho * np.sin(rho * x))) < 1e-12
 
 
 def _check_dphi_fd(data):
-    sd, md, ctx, table = data
+    _, table = data
     x = table.x_grid[77]
     lam = 5.3 + 0.9j
     h = 1e-5
-    fd = (phi_K_of_lambda(table, sd, md, x + h, lam, ctx=ctx)
-          - phi_K_of_lambda(table, sd, md, x - h, lam, ctx=ctx)) / (2 * h)
-    got = dphi_K_dx(table, sd, md, x, lam, ctx=ctx)
+    fd = (phi_K_of_lambda(table, x + h, lam)
+          - phi_K_of_lambda(table, x - h, lam)) / (2 * h)
+    got = dphi_K_dx(table, x, lam)
     assert abs(got - fd) < 1e-6
 
 
@@ -132,19 +125,18 @@ def test_dphi_K_vs_finite_difference_clustered(clustered20):
 
 def test_dphi_K_boundary_value_matches_sigma(perturbed20):
     # d/dx phi^K(0, lam) equals sigma^K(0) for every lam
-    sd, md, ctx, table = perturbed20
-    sig = reconstruct_sigma(table, sd, md, ctx=ctx)
+    _, table = perturbed20
+    sig = reconstruct_sigma(table)
     for lam in (2.2 + 1j, -1.7, 30.0):
-        got = dphi_K_dx(table, sd, md, 0.0, lam, ctx=ctx)
+        got = dphi_K_dx(table, 0.0, lam)
         assert abs(got - sig.raw[0]) < 1e-10
 
 
 def test_reconstruct_sigma_model_zero():
     md = ModelData(1)
     sd = md.spectral_data(12)
-    ctx = MainEquationContext(sd, md, 12)
-    table = solve_on_grid(sd, md, 12, n_x=65, ctx=ctx)
-    sig = reconstruct_sigma(table, sd, md, ctx=ctx)
+    table = solve_on_grid(sd, md, 12, n_x=65)
+    sig = reconstruct_sigma(table)
     assert sigma_l2_norm(sig.x_grid, sig.values) < 1e-12
 
 
@@ -154,9 +146,9 @@ def test_reconstruct_r_model_fixed_point():
         sd = md.spectral_data(16)
         ctx = MainEquationContext(sd, md, 16)
         table = solve_on_grid(sd, md, 16, n_x=33, ctx=ctx)
-        contour = choose_contour(sd, md, 16, ctx.xi)
-        r1, d1 = reconstruct_r1(table, sd, md, contour, ctx=ctx)
-        r2, d2 = reconstruct_r2(table, sd, md, contour, ctx=ctx)
+        contour = choose_contour(ctx)
+        r1, d1 = reconstruct_r1(table, contour)
+        r2, d2 = reconstruct_r2(table, contour)
         want = np.zeros(M1 + 1)
         want[-1] = 1.0
         np.testing.assert_allclose(r1.as_array(), want, atol=1e-10)
@@ -164,11 +156,11 @@ def test_reconstruct_r_model_fixed_point():
 
 
 def _check_sigma_residue(data, contour):
-    sd, md, ctx, table = data
+    _, table = data
     for ix in (32, 80):
         x = table.x_grid[ix]
-        res = sigma_contour_residue(table, sd, md, contour, x, ctx=ctx)
-        quad = sigma_contour_quadrature(table, sd, md, contour, x, ctx=ctx)
+        res = sigma_contour_residue(table, contour, x)
+        quad = sigma_contour_quadrature(table, contour, x)
         assert abs(res - quad) < 1e-6
 
 
@@ -181,16 +173,14 @@ def test_contour_residue_vs_quadrature_sigma_clustered(clustered20):
 
 
 def _check_r_residue(data, contour):
-    sd, md, ctx, table = data
-    sig = reconstruct_sigma(table, sd, md, ctx=ctx)
+    _, table = data
+    sig = reconstruct_sigma(table)
     lam = contour.radius + 8.0 + 0.5j
-    res = r1_contour_residue(table, sd, md, contour, lam, ctx=ctx)
-    quad = r1_contour_quadrature(table, sd, md, contour, lam, ctx=ctx)
+    res = r1_contour_residue(table, contour, lam)
+    quad = r1_contour_quadrature(table, contour, lam)
     assert abs(res - quad) < 1e-6
-    res_q, res_b = r2_contour_residue(table, sd, md, contour, lam,
-                                      sig.sigma_pi_raw, ctx=ctx)
-    quad_q, quad_b = r2_contour_quadrature(table, sd, md, contour, lam,
-                                           sig.sigma_pi_raw, ctx=ctx)
+    res_q, res_b = r2_contour_residue(table, contour, lam, sig.sigma_pi_raw)
+    quad_q, quad_b = r2_contour_quadrature(table, contour, lam, sig.sigma_pi_raw)
     assert abs(res_q - quad_q) < 1e-6
     assert abs(res_b - quad_b) < 1e-6
 
@@ -215,11 +205,10 @@ def test_prefit_rational_vanishes_at_model_poles():
     base = md.spectral_data(K)
     lam = base.lam + 0.2 / np.arange(1, K + 1)
     sd = SpectralData.from_flat(lam, base.alpha)
-    ctx = MainEquationContext(sd, md, K)
-    table = solve_on_grid(sd, md, K, n_x=65, ctx=ctx)
+    table = solve_on_grid(sd, md, K, n_x=65)
     from isturm.reconstruct import _pole_sums_r
     lam_n1 = md.spectral_data(K).lam[1:12]
-    E, _ = _pole_sums_r(ctx, table, lam_n1, None)
+    E, _ = _pole_sums_r(table, lam_n1, None)
     assert np.max(np.abs(1.0 - E)) < 1e-6
 
 
@@ -228,12 +217,12 @@ def test_fit_heldout_validation(poly_sd40):
     md = ModelData(1)
     ctx = MainEquationContext(sd, md, 40)
     table = solve_on_grid(sd, md, 40, n_x=65, ctx=ctx)
-    contour = choose_contour(sd, md, 40, ctx.xi)
+    contour = choose_contour(ctx)
     samples = default_lambda_samples(ctx, contour, count=24)
-    r1, diag = reconstruct_r1(table, sd, md, contour, lam_samples=samples[::2], ctx=ctx)
+    r1, diag = reconstruct_r1(table, contour, lam_samples=samples[::2])
     held = samples[1::2]
     from isturm.reconstruct import _g_factor, _pole_sums_r
-    E, _ = _pole_sums_r(ctx, table, held, None)
+    E, _ = _pole_sums_r(table, held, None)
     vals = _g_factor(ctx, held) * (1.0 - E)
     resid_held = np.max(np.abs(np.polyval(r1.as_array()[::-1], held) - vals)) \
         / max(np.max(np.abs(vals)), 1e-9)
@@ -244,7 +233,7 @@ def test_choose_contour_covers_clusters(poly_sd40):
     _, sd = poly_sd40
     md = ModelData(1)
     ctx = MainEquationContext(sd, md, 40)
-    spec = choose_contour(sd, md, 40, ctx.xi)
+    spec = choose_contour(ctx)
     mds = md.spectral_data(40)
     for h, m in zip(mds.heads, mds.sizes):
         if m > 1:
@@ -256,7 +245,7 @@ def test_lambda_samples_off_poles(poly_sd40):
     _, sd = poly_sd40
     md = ModelData(1)
     ctx = MainEquationContext(sd, md, 40)
-    spec = choose_contour(sd, md, 40, ctx.xi)
+    spec = choose_contour(ctx)
     pts = default_lambda_samples(ctx, spec)
     assert len(pts) >= 2 * md.M1 + 2
     lams = np.concatenate([ctx.fams[0]["lam_pt"], ctx.fams[1]["lam_pt"]])
@@ -271,3 +260,31 @@ def test_invert_roundtrip_fixture(poly_sd40):
     np.testing.assert_allclose(res.r1.as_array(), [1, 1], atol=1e-4)
     np.testing.assert_allclose(res.r2.as_array(), [1, 0], atol=1e-4)
     assert sigma_l2_norm(res.x_grid, res.sigma) < 5e-3
+
+
+def test_step_by_step_matches_invert_spectral_data(poly_sd40):
+    # the lower-level API composes to the pipeline: each formula reads the
+    # (data, model, K) triple from the table alone
+    _, sd = poly_sd40
+    res = invert_spectral_data(sd, K=40, n_x=129)
+    md = ModelData(sd.m1)
+    ctx = MainEquationContext(sd, md, 40)
+    table = solve_on_grid(sd, md, 40, n_x=129, ctx=ctx)
+    assert table.ctx is ctx
+    contour = choose_contour(ctx)
+    sigma = reconstruct_sigma(table)
+    r1, diag1 = reconstruct_r1(table, contour)
+    r2, diag2 = reconstruct_r2(table, contour, sigma=sigma)
+    np.testing.assert_array_equal(sigma.values, res.sigma)
+    assert r1.coeffs == res.r1.coeffs and r2.coeffs == res.r2.coeffs
+    assert res.diagnostics == {
+        "cond_max": float(np.max(table.cond)),
+        "cond_median": float(np.median(table.cond)),
+        "xi_tail_norm": float(np.sqrt(np.sum(ctx.xi[20:] ** 2))),
+        "endpoint_defect": sigma.defect,
+        "r1_fit_residual": diag1["fit_residual"],
+        "r2_fit_residual": diag2["fit_residual"],
+        "bc_constant": diag2["bc_constant"],
+        "N": contour.N,
+        "K": 40,
+    }

@@ -7,8 +7,7 @@ from isturm import (FullProblem, ModelData, Polynomial, ProblemL,
                     forward_spectral_data, robin_constants, solve_on_grid,
                     weyl_M1)
 from isturm.errors import FitUnstable
-from isturm.maineq import MainEquationContext
-from isturm.refine import invert_refined, recover_q, smooth_grid
+from isturm.refine import recover_q, smooth_grid
 from isturm.regular import check_r2_shift
 
 PI = np.pi
@@ -52,18 +51,16 @@ def test_check_r2_shift():
 def test_robin_constants_model_zero():
     md = ModelData(0)
     sd = md.spectral_data(12)
-    ctx = MainEquationContext(sd, md, 12)
-    table = solve_on_grid(sd, md, 12, n_x=65, ctx=ctx)
-    b0, b0_check = robin_constants(table, sd, md, 12, ctx=ctx)
+    table = solve_on_grid(sd, md, 12, n_x=65)
+    b0, b0_check = robin_constants(table)
     assert abs(b0) < 1e-12 and abs(b0_check) < 1e-12
 
 
 def test_robin_constants_roundtrip(robin_sd25):
     _, sd = robin_sd25
     md = ModelData(0)
-    ctx = MainEquationContext(sd, md, 25)
-    table = solve_on_grid(sd, md, 25, n_x=129, ctx=ctx)
-    b0, b0_check = robin_constants(table, sd, md, 25, ctx=ctx)
+    table = solve_on_grid(sd, md, 25, n_x=129)
+    b0, b0_check = robin_constants(table)
     assert abs(b0 - 1.0) < 5e-3
 
 
@@ -119,10 +116,3 @@ def test_recover_q_zero():
     xs = np.linspace(0, PI, 64)
     q, _ = recover_q(np.zeros(64, dtype=complex), xs, K=40)
     assert np.max(np.abs(q)) < 1e-12
-
-
-def test_invert_refined_passes_zero_matches_plain(poly_sd40):
-    _, sd = poly_sd40
-    ref = invert_refined(sd, K=40, n_x=65, passes=0)
-    assert ref.passes == 0
-    np.testing.assert_allclose(ref.sigma, ref.base.sigma)
