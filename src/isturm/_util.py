@@ -9,6 +9,7 @@ so that no branch or 0/0 issues arise at lambda = 0.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -126,6 +127,19 @@ def gl_nodes_on(a, b, n):
 def cplx(z):
     z = complex(z)
     return [z.real, z.imag]
+
+
+def from_pair(v) -> complex:
+    """Finite complex from a JSON [re, im] pair; a pair of any other shape or
+    with a non-finite part raises MalformedInput."""
+    try:
+        re, im = v
+        z = complex(re, im)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"{v!r} is not an [re, im] pair") from None
+    if not cmath.isfinite(z):
+        raise MalformedInput(f"{v!r} is not finite")
+    return z
 
 
 def _fmt(value):

@@ -4,7 +4,9 @@ float formatting, complex numbers as [re, im] pairs) written atomically."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import math
 import sys
 
 from ._util import cplx, read_json, write_json_atomic
@@ -18,15 +20,52 @@ from .regular import check_r2_shift
 from .spectral import spectral_data_from_json, spectral_data_to_json
 from .verify import roundtrip
 
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_COUNT_MISMATCH = 2
-EXIT_IO = 3
-EXIT_AMBIGUOUS = 4
-EXIT_SINGULAR = 5
-EXIT_FIT = 6
+# Exit code of a failed command: the first row whose type matches the error.
+_EXIT_CODES = (
+    (CountMismatch, 2),
+    ((MalformedInput, OSError), 3),
+    (AmbiguousOffset, 4),
+    (Singular, 5),
+    (FitResidualTooLarge, 6),
+    (IsturmError, 1),
+)
 
 DEFAULT_TOL = {"sigma_l2": 0.1, "r1": 5e-3, "r2": 5e-3}
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors raise MalformedInput instead of
+    exiting with argparse's own code."""
+
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _int_at_least(low):
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return convert
+
+
+def _contour_index(text):
+    return None if text == "auto" else _int_at_least(1)(text)
+
+
+def _tolerances(cfg) -> dict:
+    """DEFAULT_TOL updated by the config's optional 'tolerances' object."""
+    tol = cfg.get("tolerances", {})
+    if not (isinstance(tol, dict) and set(tol) <= set(DEFAULT_TOL)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v >= 0 for v in tol.values())):
+        raise MalformedInput(f"tolerances must map keys among {sorted(DEFAULT_TOL)} "
+                             f"to finite non-negative numbers, not {tol!r}")
+    return {**DEFAULT_TOL, **tol}
 
 
 def _reconstruction_json(res) -> dict:
@@ -43,102 +82,49 @@ def _reconstruction_json(res) -> dict:
 
 
 def cmd_forward(args) -> int:
-    try:
-        cfg = read_json(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    full = problem_from_json(cfg)
-    try:
-        sd = forward_spectral_data(full.inner, args.K, args.nx)
-    except CountMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COUNT_MISMATCH
-    try:
-        write_json_atomic(args.out, spectral_data_to_json(sd))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    full = problem_from_json(read_json(args.config))
+    sd = forward_spectral_data(full.inner, args.K, args.nx)
+    write_json_atomic(args.out, spectral_data_to_json(sd))
     print(f"wrote {args.out}: K={sd.K}, M1={sd.m1}, case={sd.case}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_invert(args) -> int:
-    diag_payload = {}
-    try:
-        sd = spectral_data_from_json(read_json(args.config))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    N = None if args.N in (None, "auto") else int(args.N)
-    try:
-        if args.regular:
-            from .refine import invert_refined, rebuild_sigma_tail, recover_q
-            ref = invert_refined(sd, K=args.K, n_x=args.nx, N=N)
-            res = ref.base
-            q, _ = recover_q(ref.sigma, ref.x_grid, res.K)
-            sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
-            out = dataclasses.replace(ref, sigma=sigma_fixed)
-        else:
-            res = out = invert_spectral_data(sd, K=args.K, n_x=args.nx, N=N)
-    except AmbiguousOffset as exc:
-        diag_payload["error"] = str(exc)
-        code = EXIT_AMBIGUOUS
-    except Singular as exc:
-        diag_payload["error"] = str(exc)
-        code = EXIT_SINGULAR
-    except FitResidualTooLarge as exc:
-        diag_payload["error"] = str(exc)
-        code = EXIT_FIT
-    except MalformedInput as exc:
-        diag_payload["error"] = str(exc)
-        code = EXIT_IO
+    sd = spectral_data_from_json(read_json(args.config))
+    if args.regular:
+        from .refine import invert_refined, rebuild_sigma_tail, recover_q
+        ref = invert_refined(sd, K=args.K, n_x=args.nx, N=args.N)
+        res = ref.base
+        q, _ = recover_q(ref.sigma, ref.x_grid, res.K)
+        sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
+        out = dataclasses.replace(ref, sigma=sigma_fixed)
     else:
-        payload = _reconstruction_json(out)
-        if args.regular:
-            payload["q"] = [cplx(v) for v in q]
-            payload["r2_check"] = check_r2_shift(out.r2, out.r1, sig_pi).to_json()
-            payload["sigma_pi"] = cplx(sig_pi)
-        try:
-            write_json_atomic(args.out, payload)
-            if args.diag:
-                write_json_atomic(args.diag, payload["diagnostics"])
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"wrote {args.out}: M1={res.m1}, N={res.N}, "
-              f"r1 fit {out.diagnostics['r1_fit_residual']:.2e}, "
-              f"r2 fit {out.diagnostics['r2_fit_residual']:.2e}")
-        return EXIT_OK
+        res = out = invert_spectral_data(sd, K=args.K, n_x=args.nx, N=args.N)
+    payload = _reconstruction_json(out)
+    if args.regular:
+        payload["q"] = [cplx(v) for v in q]
+        payload["r2_check"] = check_r2_shift(out.r2, out.r1, sig_pi).to_json()
+        payload["sigma_pi"] = cplx(sig_pi)
+    write_json_atomic(args.out, payload)
     if args.diag:
-        try:
-            write_json_atomic(args.diag, diag_payload)
-        except OSError:
-            pass
-    print(f"error: {diag_payload['error']}", file=sys.stderr)
-    return code
+        write_json_atomic(args.diag, payload["diagnostics"])
+    print(f"wrote {args.out}: M1={res.m1}, N={res.N}, "
+          f"r1 fit {out.diagnostics['r1_fit_residual']:.2e}, "
+          f"r2 fit {out.diagnostics['r2_fit_residual']:.2e}")
+    return 0
 
 
 def cmd_roundtrip(args) -> int:
-    try:
-        cfg = read_json(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = read_json(args.config)
     full = problem_from_json(cfg)
-    tol = dict(DEFAULT_TOL)
-    tol.update(cfg.get("tolerances", {}))
-    try:
-        if args.regular:
-            from .verify import regular_roundtrip
-            rep = regular_roundtrip(full, args.K, n_x_forward=args.nx,
-                                    n_x_inverse=min(args.nx, 512))
-        else:
-            rep = roundtrip(full, args.K, n_x_forward=args.nx,
-                            n_x_inverse=min(args.nx, 512))
-    except CountMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COUNT_MISMATCH
+    tol = _tolerances(cfg)
+    if args.regular:
+        from .verify import regular_roundtrip
+        rep = regular_roundtrip(full, args.K, n_x_forward=args.nx,
+                                n_x_inverse=min(args.nx, 512))
+    else:
+        rep = roundtrip(full, args.K, n_x_forward=args.nx,
+                        n_x_inverse=min(args.nx, 512))
     ok = (rep["sigma_l2_error"] <= tol["sigma_l2"]
           and rep["r1_coeff_error"] <= tol["r1"]
           and rep["r2_coeff_error"] <= tol["r2"])
@@ -159,76 +145,68 @@ def cmd_roundtrip(args) -> int:
             "t_invert": rep["t_invert"],
             "pass": bool(ok),
         }
-        try:
-            write_json_atomic(args.out, payload)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    return EXIT_OK if ok else EXIT_FAIL
+        write_json_atomic(args.out, payload)
+    return 0 if ok else 1
 
 
 def cmd_model(args) -> int:
-    md = ModelData(args.M1)
-    sd = md.spectral_data(args.K)
-    try:
-        write_json_atomic(args.out, spectral_data_to_json(sd))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sd = ModelData(args.M1).spectral_data(args.K)
+    write_json_atomic(args.out, spectral_data_to_json(sd))
     print(f"wrote {args.out}: model data M1={args.M1}, K={args.K}")
-    return EXIT_OK
+    return 0
+
+
+# Every flag a command may take; each command lists the ones it reads.
+_FLAGS = {
+    "--config": dict(required=True, help="input JSON path"),
+    "--M1": dict(type=_int_at_least(0), default=0, help="model degree index"),
+    "--K": dict(type=_int_at_least(1), default=40, help="truncation size"),
+    "--nx": dict(type=_int_at_least(33), default=1024, help="grid size"),
+    "--N": dict(type=_contour_index, default=None, help="contour index or 'auto'"),
+    "--regular": dict(action="store_true",
+                      help="defect-corrected inversion for a regular potential"),
+    "--diag": dict(default=None,
+                   help="diagnostics JSON path; on failure it records the error"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="isturm",
-                                description="forward/inverse solver for the "
-                                            "polynomial-condition eigenproblem")
+    p = _Parser(prog="isturm",
+                description="forward/inverse solver for the "
+                            "polynomial-condition eigenproblem")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", required=False, help="input JSON path")
-        sp.add_argument("--K", type=int, default=40, help="truncation size")
-        sp.add_argument("--nx", type=int, default=1024, help="grid size")
-        sp.add_argument("--N", default="auto", help="contour index or 'auto'")
-        sp.add_argument("--regular", action="store_true",
-                        help="classical-potential transfer on output")
-        sp.add_argument("--out", default=None, help="output JSON path")
-        sp.add_argument("--diag", default=None, help="diagnostics JSON path")
-
-    sp = sub.add_parser("forward", help="problem.json -> spectral_data.json")
-    common(sp)
-    sp.set_defaults(func=cmd_forward, out_default="spectral_data.json")
-
-    sp = sub.add_parser("invert", help="spectral_data.json -> reconstruction.json")
-    common(sp)
-    sp.set_defaults(func=cmd_invert, out_default="reconstruction.json")
-
-    sp = sub.add_parser("roundtrip", help="forward + invert + compare")
-    common(sp)
-    sp.set_defaults(func=cmd_roundtrip, out_default=None)
-
-    sp = sub.add_parser("model", help="emit model spectral data")
-    common(sp)
-    sp.add_argument("--M1", type=int, default=0)
-    sp.set_defaults(func=cmd_model, out_default="spectral_data.json")
+    commands = (
+        ("forward", cmd_forward, "problem.json -> spectral_data.json",
+         "spectral_data.json", ("--config", "--K", "--nx")),
+        ("invert", cmd_invert, "spectral_data.json -> reconstruction.json",
+         "reconstruction.json", ("--config", "--K", "--nx", "--N", "--regular", "--diag")),
+        ("roundtrip", cmd_roundtrip, "forward + invert + compare",
+         None, ("--config", "--K", "--nx", "--regular")),
+        ("model", cmd_model, "emit model spectral data",
+         "spectral_data.json", ("--M1", "--K")),
+    )
+    for name, func, help_text, out, flags in commands:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.add_argument("--out", default=out, help="output JSON path")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.out is None:
-        args.out = getattr(args, "out_default", None)
-    if args.command in ("forward", "invert", "roundtrip") and not args.config:
-        print("error: --config is required", file=sys.stderr)
-        return EXIT_IO
+    """Run one command; any failure prints one 'error:' line and returns the
+    exit code from _EXIT_CODES, and is recorded in --diag when that is given."""
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except MalformedInput as exc:
+    except (IsturmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except IsturmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        if getattr(args, "diag", None):
+            with contextlib.suppress(OSError):
+                write_json_atomic(args.diag, {"error": str(exc)})
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

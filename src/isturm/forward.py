@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import sqrt_lambda
-from .errors import AtPole, CountMismatch, NoConvergence, NonFiniteState, PoleTooClose
+from .errors import (AtPole, CountMismatch, MalformedInput, NoConvergence, NonFiniteState,
+                     PoleTooClose)
 from .problem import Polynomial, ProblemL, SigmaFunction, poly_eval
 from .spectral import EigenRecord, SpectralData
 
@@ -161,7 +162,7 @@ def integrate_solution(sigma: SigmaFunction, lam, init, direction: str = "ltr",
     sigma is never differentiated.
     """
     if n_x < 33:
-        raise ValueError("n_x must be at least 33")
+        raise MalformedInput("n_x must be at least 33")
     if direction not in ("ltr", "rtl"):
         raise ValueError("direction must be 'ltr' or 'rtl'")
     mesh, take = _step_mesh(sigma, n_x)
@@ -471,7 +472,7 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     numbering; real problems use the bracketed real-axis search, anything that
     fails the count check falls back to argument-principle subdivision."""
     if K < prob.m1 + 2:
-        raise ValueError("K must be at least M1 + 2")
+        raise MalformedInput("K must be at least M1 + 2")
     shift = _rho_shift(prob)
     top_rho = (K - shift) + 0.5
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import (MAX_DERIV_ORDER, gl_nodes_on, phi_model, phi_model_dx,
                     sqrt_lambda)
-from .errors import OrderTooHigh
+from .errors import MalformedInput, OrderTooHigh
 from .spectral import SpectralData
 
 PI = np.pi
@@ -29,7 +29,7 @@ class ModelData:
 
     def __init__(self, M1: int):
         if M1 < 0:
-            raise ValueError("M1 must be nonnegative")
+            raise MalformedInput("M1 must be nonnegative")
         if M1 > MAX_DERIV_ORDER - 1:
             raise OrderTooHigh(f"model cluster size {M1 + 1} exceeds the multiplicity cap")
         self.M1 = int(M1)

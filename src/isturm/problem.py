@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cplx
+from ._util import cplx, from_pair
 from .errors import BothZero, MalformedInput, NotCoprime
 
 ZERO_RTOL = 1e-10  # deflation threshold relative to the largest coefficient
@@ -67,7 +67,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data) -> "Polynomial":
-        return cls([complex(re, im) for re, im in data])
+        return cls([from_pair(v) for v in data])
 
 
 def poly_eval(p: Polynomial, lam):
@@ -169,12 +169,11 @@ class SigmaFunction:
         if kind == "zero":
             return SigmaZero()
         if kind == "step":
-            re, im = data["height"]
-            return SigmaStep(complex(re, im), float(data["jump"]))
+            return SigmaStep(from_pair(data["height"]), float(data["jump"]))
         if kind == "poly_x":
-            return SigmaPolynomialInX([complex(re, im) for re, im in data["coeffs"]])
+            return SigmaPolynomialInX([from_pair(v) for v in data["coeffs"]])
         if kind == "grid":
-            return SigmaGridSamples([complex(re, im) for re, im in data["values"]])
+            return SigmaGridSamples([from_pair(v) for v in data["values"]])
         raise ValueError(f"unknown sigma kind {kind!r}")
 
 
@@ -364,5 +363,5 @@ def problem_from_json(data) -> FullProblem:
             p2=Polynomial.from_json(data.get("p2", [[0.0, 0.0]])),
             inner=inner,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"problem: {exc!r}") from None

@@ -10,9 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cplx, sqrt_lambda
+from ._util import cplx, from_pair, sqrt_lambda
 from .errors import AmbiguousOffset, AtPole, DenominatorZero, MalformedInput
 from .problem import Polynomial, poly_eval
+
+_CLUSTER_RTOL = 1e-8  # flattened entries this close (relative) form one cluster
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ def group_multiplicities(lams):
     m = {}
     head = 0
     for n in range(1, len(lams)):
-        if abs(lams[n] - lams[head]) <= 1e-8 * (1 + abs(lams[n])):
+        if abs(lams[n] - lams[head]) <= _CLUSTER_RTOL * (1 + abs(lams[n])):
             continue
         m[I[-1]] = n - head
         head = n
@@ -200,13 +202,6 @@ def spectral_data_to_json(sd: SpectralData) -> dict:
     }
 
 
-def _from_pair(v) -> complex:
-    """complex from a [re, im] pair; a pair of any other shape raises
-    ValueError or TypeError."""
-    re, im = v
-    return complex(re, im)
-
-
 def spectral_data_from_json(data) -> SpectralData:
     try:
         eigs = list(data["eigs"])
@@ -215,17 +210,23 @@ def spectral_data_from_json(data) -> SpectralData:
     records = []
     for i, e in enumerate(eigs):
         try:
-            lam = _from_pair(e["lambda"])
+            lam = from_pair(e["lambda"])
             records.append(EigenRecord(
                 lam=lam, rho=complex(sqrt_lambda(lam)),
                 multiplicity=int(e["multiplicity"]),
-                alpha_coeffs=tuple(_from_pair(a) for a in e["alpha"]),
+                alpha_coeffs=tuple(from_pair(a) for a in e["alpha"]),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"eigs[{i}]: {exc!r}") from None
+    lams = np.array([r.lam for r in records], dtype=complex)
+    same = np.triu(np.abs(lams[:, None] - lams) <= _CLUSTER_RTOL * (1 + np.abs(lams)), 1)
+    if same.any():
+        i, j = np.argwhere(same)[0]
+        raise MalformedInput(f"eigs[{i}] and eigs[{j}] have one lambda; a multiple "
+                             "eigenvalue is one record with its multiplicity")
     try:
         m1 = int(data.get("M1", -1))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"M1: {exc!r}") from None
     return SpectralData.from_records(records, m1=None if m1 < 0 else m1,
                                      case=data.get("case"))

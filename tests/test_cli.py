@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from isturm import Polynomial, ProblemL, SigmaStep, SigmaZero, problem_to_json
+from isturm import (ModelData, Polynomial, ProblemL, SigmaStep, SigmaZero, find_eigenvalues,
+                    integrate_solution, problem_to_json)
+from isturm import cli
 from isturm._util import write_json_atomic
 from isturm.cli import main
+from isturm.errors import (AmbiguousOffset, ContourThroughPole, CountMismatch,
+                           FitResidualTooLarge, MalformedInput, Singular)
 from isturm.spectral import spectral_data_from_json
 
 PI = np.pi
@@ -103,7 +107,10 @@ def test_missing_config_is_io_error(tmp_path):
 @pytest.mark.parametrize("case", ["no-multiplicity", "alpha-length", "K-splits-cluster",
                                   "no-eigs", "lambda-one-element", "alpha-bare-number",
                                   "M1-string", "multiplicity-zero",
-                                  "multiplicity-negative", "K-exceeds-data"])
+                                  "multiplicity-negative", "K-exceeds-data",
+                                  "lambda-nan", "alpha-inf", "duplicate-lambda",
+                                  "duplicate-adjacent", "M1-infinite",
+                                  "multiplicity-infinite"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -130,9 +137,21 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         data["eigs"][1]["alpha"] = []
     elif case == "K-exceeds-data":
         K = "20"
+    elif case == "lambda-nan":
+        data["eigs"][1]["lambda"] = [float("nan"), 0.0]
+    elif case == "alpha-inf":
+        data["eigs"][1]["alpha"] = [[float("inf"), 0.0]]
+    elif case == "duplicate-lambda":
+        data["eigs"][5]["lambda"] = data["eigs"][2]["lambda"]
+    elif case == "duplicate-adjacent":
+        data["eigs"][3]["lambda"] = data["eigs"][2]["lambda"]
+    elif case == "M1-infinite":
+        data["M1"] = float("inf")
+    elif case == "multiplicity-infinite":
+        data["eigs"][1]["multiplicity"] = float("inf")
     else:
         K = "2"
-    write_json_atomic(sd_path, data)
+    sd_path.write_text(json.dumps(data))  # plain json: it writes NaN and Infinity
     capsys.readouterr()
     code = main(["invert", "--config", str(sd_path), "--K", K, "--nx", "65",
                  "--out", str(tmp_path / "rec.json")])
@@ -161,6 +180,105 @@ def test_malformed_problem_exit_code(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, case", [
+    ("forward", "r2-nan"), ("forward", "height-inf"), ("roundtrip", "r2-nan"),
+    ("roundtrip", "tolerances-string"), ("roundtrip", "tolerance-string"),
+    ("roundtrip", "tolerance-unknown-key"), ("roundtrip", "tolerance-negative"),
+    ("roundtrip", "tolerance-nan"), ("forward", "jump-huge")])
+def test_malformed_config_values_exit_code(tmp_path, capsys, command, case):
+    cfg = _write_problem(tmp_path / "problem.json", [1], [1], sigma=SigmaStep(1.0, PI / 2))
+    data = json.loads(cfg.read_text())
+    if case == "r2-nan":
+        data["r2"] = [[float("nan"), 0.0]]
+    elif case == "height-inf":
+        data["sigma"]["height"] = [float("inf"), 0.0]
+    elif case == "jump-huge":
+        data["sigma"]["jump"] = 10 ** 400  # a JSON integer beyond the float range
+    else:
+        data["tolerances"] = {"tolerances-string": "x",
+                              "tolerance-string": {"r1": "a"},
+                              "tolerance-unknown-key": {"sigma": 0.1},
+                              "tolerance-negative": {"r2": -1.0},
+                              "tolerance-nan": {"sigma_l2": float("nan")}}[case]
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main([command, "--config", str(cfg), "--K", "5", "--nx", "65",
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("forward", ["--K", "abc"]), ("forward", ["--N", "3"]), (None, []),
+    ("forward", ["--K", "0"]), ("forward", ["--K", "1"]), ("invert", ["--K", "0"]),
+    ("invert", ["--nx", "2"]), ("invert", ["--N", "x"]), ("invert", ["--N", "0"]),
+    ("model", ["--M1", "-1"]), ("model", ["--K", "0"]), ("model", ["--nx", "65"])],
+    ids=["K-abc", "forward-N", "no-command", "forward-K0", "forward-K1", "invert-K0",
+         "invert-nx2", "invert-N-x", "invert-N0", "model-M1-negative", "model-K0",
+         "model-nx"])
+def test_bad_arguments_exit_code(tmp_path, capsys, command, extra):
+    # every other argument is valid, so the one under test decides the code
+    configs = {"forward": _write_problem(tmp_path / "problem.json", [1], [1]),
+               "invert": tmp_path / "sd.json"}
+    assert main(["model", "--K", "10", "--out", str(configs["invert"])]) == 0
+    out = str(tmp_path / "out.json")
+    if command is None:
+        argv = []
+    elif command == "model":
+        argv = ["model", "--K", "5", "--out", out] + extra
+    else:
+        argv = [command, "--config", str(configs[command]), "--K", "10", "--nx", "65",
+                "--out", out] + extra
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_library_range_checks_are_malformed_input():
+    with pytest.raises(MalformedInput):
+        ModelData(-1)
+    with pytest.raises(MalformedInput):
+        integrate_solution(SigmaZero(), 1.0, (1.0, 0.0), n_x=32)
+    with pytest.raises(MalformedInput):
+        find_eigenvalues(ProblemL(SigmaZero(), Polynomial([0, 1]), Polynomial([0])), 2)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("command, target", [
+    ("forward", "forward_spectral_data"), ("invert", "invert_spectral_data"),
+    ("roundtrip", "roundtrip"), ("model", "ModelData")])
+def test_exit_code_table(tmp_path, capsys, monkeypatch, command, target):
+    # every command maps a failure of its library call through the one table
+    problem = _write_problem(tmp_path / "problem.json", [1], [1])
+    configs = {"forward": problem, "roundtrip": problem, "invert": tmp_path / "sd.json"}
+    assert main(["model", "--K", "10", "--out", str(configs["invert"])]) == 0
+    argv = [command, "--K", "10", "--out", str(tmp_path / "out.json")]
+    if command in configs:
+        argv += ["--config", str(configs[command])]
+    diag = tmp_path / "diag.json"
+    if command == "invert":
+        argv += ["--diag", str(diag)]
+    for exc, code in [(CountMismatch("count"), 2), (MalformedInput("schema"), 3),
+                      (OSError("disk"), 3), (AmbiguousOffset("offset"), 4),
+                      (Singular("singular"), 5), (FitResidualTooLarge("fit"), 6),
+                      (ContourThroughPole("contour"), 1)]:
+        monkeypatch.setattr(cli, target, _raise(exc))
+        capsys.readouterr()
+        assert main(argv) == code, exc
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        if command == "invert":
+            assert json.loads(diag.read_text()) == {"error": str(exc)}
+            diag.unlink()
 
 
 def test_ambiguous_offset_exit_code(tmp_path):
