@@ -247,38 +247,44 @@ def _rho_shift(prob: ProblemL) -> float:
     return prob.m2 + 0.5
 
 
-def _winding_data(f, pts, max_refine=14):
-    """Continuous log of f along the closed polyline pts.
+def _winding_data(f, polylines, max_refine=14):
+    """Continuous log of f along each of several closed polylines.
 
-    Returns (pts, vals, logf) refined so consecutive phase jumps stay below
-    pi/2, or raises NoConvergence when a boundary point sits on a zero.
+    All polylines are evaluated in one f batch, and each refinement pass,
+    which bisects every segment whose phase jump exceeds pi/2, in one more.
+    Returns one (pts, logf) pair per polyline, or None for a polyline whose
+    phase tracking did not settle or on which f vanishes at a point.
     """
-    pts = np.asarray(pts, dtype=complex)
-    vals = f(pts)
+    pts = [np.asarray(p, dtype=complex) for p in polylines]
+    vals = np.split(f(np.concatenate(pts)), np.cumsum([len(p) for p in pts])[:-1])
+    unsettled = range(len(pts))
     for _ in range(max_refine):
-        ratio = vals[1:] / vals[:-1]
-        bad = np.abs(np.angle(ratio)) > PI / 2
-        if not np.any(bad):
+        bad = {i: np.flatnonzero(np.abs(np.angle(vals[i][1:] / vals[i][:-1])) > PI / 2)
+               for i in unsettled}
+        unsettled = [i for i, idx in bad.items() if idx.size]
+        if not unsettled:
             break
-        mid = 0.5 * (pts[:-1][bad] + pts[1:][bad])
-        vmid = f(mid)
-        idx = np.flatnonzero(bad)
-        pts = np.insert(pts, idx + 1, mid)
-        vals = np.insert(vals, idx + 1, vmid)
-    else:
-        raise NoConvergence("phase tracking did not settle on the contour")
-    if np.any(np.abs(vals) == 0.0):
-        raise NoConvergence("characteristic function vanishes on the contour")
-    phase = np.concatenate([[0.0], np.cumsum(np.angle(vals[1:] / vals[:-1]))])
-    logf = np.log(np.abs(vals)) + 1j * (np.angle(vals[0]) + phase)
-    return pts, vals, logf
+        mids = [0.5 * (pts[i][bad[i]] + pts[i][bad[i] + 1]) for i in unsettled]
+        vmid = np.split(f(np.concatenate(mids)), np.cumsum([len(m) for m in mids])[:-1])
+        for i, m, v in zip(unsettled, mids, vmid):
+            pts[i] = np.insert(pts[i], bad[i] + 1, m)
+            vals[i] = np.insert(vals[i], bad[i] + 1, v)
+
+    def logf(v):
+        phase = np.concatenate([[0.0], np.cumsum(np.angle(v[1:] / v[:-1]))])
+        return np.log(np.abs(v)) + 1j * (np.angle(v[0]) + phase)
+    return [None if i in unsettled or not np.all(v) else (p, logf(v))
+            for i, (p, v) in enumerate(zip(pts, vals))]
 
 
 def _contour_moments(f, pts, orders=0):
     """(count, s1, ..., s_orders) for roots of f inside a closed polyline,
     derivative free: integrates lam^p dlog f by parts with the continuously
     tracked log."""
-    pts, _, logf = _winding_data(f, pts)
+    data = _winding_data(f, [pts])[0]
+    if data is None:
+        raise NoConvergence("phase tracking failed on the contour")
+    pts, logf = data
     wind = (logf[-1] - logf[0]).imag / (2 * PI)
     count = int(round(wind))
     if abs(wind - count) > 0.05:
@@ -306,9 +312,8 @@ def _edge_points(z0, z1, n_min=16, per_rho=14.0):
 def _rect_points(corners, n_side=16):
     a, b, c, d = corners  # Re in [a,b], Im in [c,d]
     vv = [a + 1j * c, b + 1j * c, b + 1j * d, a + 1j * d]
-    pts = np.concatenate([_edge_points(vv[i], vv[(i + 1) % 4], n_min=n_side)
-                          for i in range(4)] + [[vv[0]]])
-    return pts
+    return np.concatenate([_edge_points(vv[i], vv[(i + 1) % 4], n_min=n_side)
+                           for i in range(4)] + [[vv[0]]])
 
 
 def _circle_points(center, radius, n=96):
@@ -382,24 +387,29 @@ def _subdivide_hunt(f, corners, count, depth=0, max_depth=60):
 
 
 def _polish_simple(f, roots, iters=30):
-    """Batched secant polish of simple roots."""
-    z0 = np.asarray(roots, dtype=complex)
+    """Batched secant polish of simple roots.  Returns (z, done), done marking
+    the roots whose last step was below 1e-13 relative; those stop there, so
+    each f batch holds only the roots still moving."""
+    z0 = np.array(roots, dtype=complex)
     z1 = z0 * (1 + 1e-7) + 1e-7
-    f0 = f(z0)
-    f1 = f(z1)
+    f0, f1 = f(z0), f(z1)
+    done = np.zeros(len(z0), dtype=bool)
     for _ in range(iters):
-        denom = f1 - f0
+        mv = np.flatnonzero(~done)
+        if not mv.size:
+            break
+        denom = f1[mv] - f0[mv]
         # a secant flat to rounding (f1 == f0 although z1 != z0) has no
         # slope to follow: stay put instead of stepping by f1 dz / 1e-300
         flat = denom == 0
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        z2 = np.where(flat, z1, z1 - f1 * (z1 - z0) / denom)
-        z0, f0 = z1, f1
-        z1 = z2
-        f1 = f(z1)
-        if np.all(np.abs(z1 - z0) <= 1e-13 * (1 + np.abs(z1))):
-            break
-    return z1
+        z2 = np.where(flat, z1[mv], z1[mv] - f1[mv] * (z1[mv] - z0[mv]) / denom)
+        done[mv] = np.abs(z2 - z1[mv]) <= 1e-13 * (1 + np.abs(z2))
+        z0[mv], f0[mv], z1[mv] = z1[mv], f1[mv], z2
+        ev = mv[~done[mv]]
+        if ev.size:
+            f1[ev] = f(z1[ev])
+    return z1, done
 
 
 def _polish_cluster(f, center, m, scale, rounds=6):
@@ -461,16 +471,97 @@ def _analyze_group(f, group, merge_tol=1e-5):
                 distinct = False
                 break
     if distinct:
-        polished = _polish_simple(f, roots)
+        polished, _ = _polish_simple(f, roots)
         return [(complex(z), 1) for z in polished]
     center = complex(_polish_cluster(f, complex(np.mean(roots)), m, 1 + abs(center)))
     return [(center, m)]
 
 
+def _illinois(f, lo, hi, flo, fhi, rtol=1e-6, max_iter=60):
+    """Shrink real sign-change brackets in place to width rtol * max(1, |lam|)
+    by vectorised Illinois regula falsi (Dowell & Jarratt 1971): f is taken
+    only at the brackets still open, and an end kept twice has f halved."""
+    kept = np.zeros(len(lo), dtype=int)  # +1: the last step kept hi, -1: lo
+    for _ in range(max_iter):
+        op = np.flatnonzero(hi - lo > rtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+        if not op.size:
+            break
+        x = np.clip(hi[op] - fhi[op] * (hi[op] - lo[op]) / (fhi[op] - flo[op]), lo[op], hi[op])
+        fx = f(x)
+        to_lo = fx * flo[op] > 0
+        to_hi = fx * fhi[op] > 0
+        i = op[to_lo]
+        fhi[i[kept[i] == 1]] *= 0.5
+        lo[i], flo[i], kept[i] = x[to_lo], fx[to_lo], 1
+        i = op[to_hi]
+        flo[i[kept[i] == -1]] *= 0.5
+        hi[i], fhi[i], kept[i] = x[to_hi], fx[to_hi], -1
+        i = op[fx == 0]
+        lo[i] = hi[i] = x[fx == 0]
+
+
+def _real_roots(f, lam_grid):
+    """Real roots of f from the sign changes on lam_grid: Illinois brackets,
+    then the secant polish; a root the polish leaves its bracket for (or does
+    not converge) is bisected to rounding instead."""
+    vals = np.real(f(lam_grid))
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    lo, hi = lam_grid[flips], lam_grid[flips + 1]
+    flo, fhi = vals[flips], vals[flips + 1]
+    _illinois(lambda x: np.real(f(x)), lo, hi, flo, fhi)
+    z, done = _polish_simple(f, 0.5 * (lo + hi))
+    # the polish resolves a root to 1e-13 relative, so an end of the bracket
+    # that Illinois drove onto the root does not count as leaving it
+    tol = 1e-13 * (1 + np.abs(z))
+    out = np.flatnonzero(~done | (z.imag != 0) | (z.real < lo - tol) | (z.real > hi + tol))
+    lo, hi, flo = lo[out], hi[out], flo[out]
+    while np.any(hi - lo > 4e-16 * np.maximum(1.0, np.abs(hi))):
+        mid = 0.5 * (lo + hi)
+        vm = np.real(f(mid))
+        left = flo * vm <= 0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, vm)
+    z[out] = 0.5 * (lo + hi)
+    return z
+
+
+def _seeded_roots(f, master, total, K, shift, n0):
+    """(certified roots, low-zone root groups) of f in the master box from
+    the seeds lam_n = (n - shift)^2, n = n0..K, or None when the certified
+    roots and the low-zone count do not add up to total."""
+    if n0 > K:
+        return None
+    a, b, c, d = master
+    n = np.arange(n0, K + 1)
+    z, ok = _polish_simple(f, (n - shift) ** 2.0)
+    gap = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(n), np.inf))
+    radius = np.min([0.5 * gap.min(axis=1, initial=np.inf), z.real - (n - shift - 0.5) ** 2,
+                     b - z.real, z.imag - c, d - z.imag], axis=0)
+    ok &= radius > 1e-8 * (1 + np.abs(z))
+    if ok.any():
+        traced = _winding_data(f, [_circle_points(zc, rc) for zc, rc in zip(z[ok], radius[ok])])
+        ok[ok] = [w is not None and abs((w[1][-1] - w[1][0]).imag / (2 * PI) - 1) < 0.05
+                  for w in traced]
+    if not ok.all():
+        n0 = n[~ok].max() + 1
+    low = (a, min((n0 - shift - 0.5) ** 2, b), c, d)
+    n_low = _box_count(f, low)
+    certified = z[n >= n0]
+    if n_low + len(certified) != total:
+        return None
+    return list(certified), _subdivide_hunt(f, low, n_low)
+
+
 def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecord]:
     """First K eigenvalues (with multiplicity), ordered by the asymptotic
-    numbering; real problems use the bracketed real-axis search, anything that
-    fails the count check falls back to argument-principle subdivision."""
+    numbering.
+
+    A real problem brackets the sign changes of Delta on a real grid,
+    narrows them by Illinois regula falsi and polishes by secant.  Otherwise,
+    or when that misses some of the K roots the master box count holds, the
+    roots from n0 = ceil(shift + 2) on are seeded from rho_n ~ n - shift,
+    polished and certified one by one, and the low zone left of them (with
+    any index whose certificate fails) is resolved by box subdivision; the
+    whole master box is subdivided when the counts do not add up."""
     if K < prob.m1 + 2:
         raise MalformedInput("K must be at least M1 + 2")
     shift = _rho_shift(prob)
@@ -483,26 +574,11 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     sig_max = float(np.max(np.abs(prob.sigma(np.linspace(0, PI, 257)))))
     t_neg = max(4.0, 2.0 * sig_max + 2.0, prob.m1 + 2.0)
 
-    roots: list[complex] = []
-    found_real = False
+    roots = None
     if prob.is_real:
-        found_real = True
-        rho_grid = np.arange(1e-4, top_rho, 0.02)
         t_grid = np.arange(0.02, t_neg, 0.02)
-        lam_grid = np.concatenate([-(t_grid[::-1] ** 2), rho_grid**2])
-        vals = np.real(delta(lam_grid))
-        sgn = np.sign(vals)
-        flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-        lo, hi = lam_grid[flips].copy(), lam_grid[flips + 1].copy()
-        vl = vals[flips]  # delta(lo), carried along instead of recomputed
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            vm = np.real(delta(mid))
-            left = vl * vm <= 0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            vl = np.where(left, vl, vm)
-        roots = list(0.5 * (lo + hi).astype(complex))
+        roots = _real_roots(delta, np.concatenate([-(t_grid[::-1] ** 2),
+                                                   np.arange(1e-4, top_rho, 0.02) ** 2]))
 
     # master region count check
     master = (-(t_neg**2) - 1.0, top_rho**2, -max(6.0, 1.5 * top_rho),
@@ -525,17 +601,21 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
             f"master region holds {total} eigenvalues, expected {K}; "
             "window tuning failed for this problem")
 
-    if found_real and len(roots) == total:
-        groups = [[z] for z in roots]
+    if roots is not None and len(roots) == total:
+        certified, groups = roots, []
     else:
-        groups = _subdivide_hunt(delta, master, total)
-        if sum(len(g) for g in groups) != total:
+        try:
+            seeded = _seeded_roots(delta, master, total, K, shift, int(np.ceil(shift + 2.0)))
+        except (NoConvergence, NonFiniteState):
+            seeded = None
+        certified, groups = seeded or ([], _subdivide_hunt(delta, master, total))
+        if len(certified) + sum(len(g) for g in groups) != total:
             raise CountMismatch("subdivision lost roots")
 
-    found: list[tuple[complex, int]] = []
+    found = [(complex(z), 1) for z in certified]
     singles = [g[0] for g in groups if len(g) == 1]
     if singles:
-        polished = _polish_simple(delta, singles)
+        polished, _ = _polish_simple(delta, singles)
         found.extend((complex(z), 1) for z in polished)
     for g in groups:
         if len(g) > 1:

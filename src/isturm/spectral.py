@@ -202,6 +202,14 @@ def spectral_data_to_json(sd: SpectralData) -> dict:
     }
 
 
+def _integer(v) -> int:
+    """v as an int; int() would truncate 1.9 to 1 without a word."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
+
+
 def spectral_data_from_json(data) -> SpectralData:
     try:
         eigs = list(data["eigs"])
@@ -213,7 +221,7 @@ def spectral_data_from_json(data) -> SpectralData:
             lam = from_pair(e["lambda"])
             records.append(EigenRecord(
                 lam=lam, rho=complex(sqrt_lambda(lam)),
-                multiplicity=int(e["multiplicity"]),
+                multiplicity=_integer(e["multiplicity"]),
                 alpha_coeffs=tuple(from_pair(a) for a in e["alpha"]),
             ))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -225,7 +233,7 @@ def spectral_data_from_json(data) -> SpectralData:
         raise MalformedInput(f"eigs[{i}] and eigs[{j}] have one lambda; a multiple "
                              "eigenvalue is one record with its multiplicity")
     try:
-        m1 = int(data.get("M1", -1))
+        m1 = _integer(data.get("M1", -1))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"M1: {exc!r}") from None
     return SpectralData.from_records(records, m1=None if m1 < 0 else m1,

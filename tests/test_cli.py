@@ -110,7 +110,8 @@ def test_missing_config_is_io_error(tmp_path):
                                   "multiplicity-negative", "K-exceeds-data",
                                   "lambda-nan", "alpha-inf", "duplicate-lambda",
                                   "duplicate-adjacent", "M1-infinite",
-                                  "multiplicity-infinite"])
+                                  "multiplicity-infinite", "M1-fractional",
+                                  "multiplicity-fractional"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -149,6 +150,10 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         data["M1"] = float("inf")
     elif case == "multiplicity-infinite":
         data["eigs"][1]["multiplicity"] = float("inf")
+    elif case == "M1-fractional":
+        data["M1"] = 0.7
+    elif case == "multiplicity-fractional":
+        data["eigs"][1]["multiplicity"] = 1.9
     else:
         K = "2"
     sd_path.write_text(json.dumps(data))  # plain json: it writes NaN and Infinity

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
                     SigmaZero, char_delta, find_eigenvalues, integrate_solution,
                     phi_at, weight_numbers, weyl_M)
+from isturm import forward
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
 from isturm.forward import _BLOCK, _polish_simple, _propagate, _psi_zero_batch, _step_mesh
@@ -261,6 +263,87 @@ def test_find_eigenvalues_robin_vs_bisection():
     np.testing.assert_allclose([r.lam for r in eigs], want, atol=1e-8)
 
 
+def _closed_form_delta(lam, c, h, a=PI / 2):
+    """Delta in mpmath for sigma = h on (a, pi) and 0 before, r1 = 1, r2 = c.
+
+    On each piece the quasi-derivative system matrix A has A^2 = -lam I, so
+    exp(A s) = cos(rho s) I + sin(rho s)/rho A; for h = 0 this gives
+    Delta = c cos(rho pi) - rho sin(rho pi)."""
+    rho = mpmath.sqrt(lam)
+    s = mpmath.pi - a
+    cs, sr = mpmath.cos(rho * s), mpmath.sin(rho * s) / rho
+    ya, qa = mpmath.cos(rho * a), -rho * mpmath.sin(rho * a)
+    y = (cs + h * sr) * ya + sr * qa
+    q = -(h * h + lam) * sr * ya + (cs - h * sr) * qa
+    return q + c * y
+
+
+def _count_batches(monkeypatch):
+    """List that gains one entry, the batch size, per char_delta batch of
+    the forward module."""
+    calls = []
+    plain = forward.char_delta
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return plain(*args, **kwargs)
+    monkeypatch.setattr(forward, "char_delta", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h, c, K, budget", [(1.0, 1.0, 60, 20), (0.0, 1.25 + 1.3j, 40, 84)],
+                         ids=["step-robin-K60", "complex-K40"])
+def test_find_eigenvalues_batch_budget(monkeypatch, h, c, K, budget):
+    # the real path scans a grid, takes a few Illinois rounds, the master
+    # count and the polish; the complex one polishes asymptotic seeds and
+    # certifies them together, and subdivides only the low zone
+    prob = ProblemL(SigmaStep(h, PI / 2) if h else SigmaZero(), Polynomial([1]), Polynomial([c]))
+    calls = _count_batches(monkeypatch)
+    eigs = find_eigenvalues(prob, K, 1024)
+    assert len(calls) <= budget
+    assert [r.multiplicity for r in eigs] == [1] * K
+    lam = np.array([r.lam for r in eigs])
+    assert np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(K)) > 0.1
+    with mpmath.workdps(30):
+        for z in lam:
+            ref = complex(mpmath.findroot(lambda w: _closed_form_delta(w, c, h), mpmath.mpc(z)))
+            assert abs(z - ref) <= 1e-12 * abs(ref), (z, ref)
+
+
+def test_find_eigenvalues_general_sigma_complex_certified(monkeypatch):
+    prob = ProblemL(SigmaPolynomialInX([0, 1, 0.05]), Polynomial([1]), Polynomial([1.25 + 1.3j]))
+    calls = _count_batches(monkeypatch)
+    eigs = find_eigenvalues(prob, 40, 1024)
+    assert len(calls) <= 84
+    assert [r.multiplicity for r in eigs] == [1] * 40
+    # independent argument-principle check, as criterion 11 makes it: winding
+    # number 1 on a 512-point circle of a third of the distance to the
+    # nearest other root
+    lam = np.array([r.lam for r in eigs])
+    gap = np.min(np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(40, np.inf)), axis=1)
+    z = lam[:, None] + gap[:, None] / 3 * np.exp(2j * PI * np.arange(513) / 512)
+    vals = char_delta(prob, z.ravel(), 1024).reshape(z.shape)
+    wind = np.sum(np.angle(vals[:, 1:] / vals[:, :-1]), axis=1) / (2 * PI)
+    np.testing.assert_allclose(wind, 1.0, atol=1e-6)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(h=st.floats(-2.0, 2.0), xj=st.floats(0.2 * PI, 0.8 * PI), b=st.floats(-2.0, 2.0),
+       K=st.integers(2, 12))
+def test_find_eigenvalues_real_roots_change_sign(h, xj, b, K):
+    # a real Robin problem with a step sigma: exactly K real eigenvalues,
+    # and Delta changes sign across each simple one
+    prob = ProblemL(SigmaStep(h, xj), Polynomial([1]), Polynomial([b]))
+    eigs = find_eigenvalues(prob, K, 256)
+    assert sum(r.multiplicity for r in eigs) == K
+    lam = np.array([r.lam for r in eigs])
+    assert np.all(np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam)))
+    simple = lam.real[[r.multiplicity == 1 for r in eigs]]
+    eps = 1e-8 * np.maximum(1.0, np.abs(simple))
+    d = np.real(char_delta(prob, np.concatenate([simple - eps, simple + eps]), 256))
+    assert np.all(d[:len(simple)] * d[len(simple):] < 0)
+
+
 def test_polish_simple_flat_secant_takes_no_step():
     # near r = 2 the function is a staircase, flat over the first secant pair
     # (z0 and z1 = z0 (1 + 1e-7) + 1e-7 give f0 == f1 != 0); like char_delta
@@ -273,9 +356,10 @@ def test_polish_simple_flat_secant_takes_no_step():
         stair = 9.77e-15 + q * np.round((z - r).real / q)
         return np.where(z.real < 3.5, stair, (z - 5.0) * (z + 1.0))
 
-    z = _polish_simple(f, [r + 1e-9, 5.1])
+    z, done = _polish_simple(f, [r + 1e-9, 5.1])
     assert abs(z[0] - r) < q
     assert abs(z[1] - 5.0) < 1e-13
+    assert done.all()
 
 
 def test_weight_numbers_model_m1():
