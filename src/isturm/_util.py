@@ -32,6 +32,14 @@ def sqrt_lambda(lam):
     return np.where(flip, -r, r)
 
 
+def lam_batch(lam):
+    """(lam as an at-least-1-D complex array, shaped): shaped(out) returns
+    out[0] as a complex when lam is a scalar, else out unchanged."""
+    if np.ndim(lam) == 0:
+        return np.atleast_1d(np.asarray(lam, dtype=complex)), lambda out: complex(out[0])
+    return np.asarray(lam, dtype=complex), lambda out: out
+
+
 # ---------------------------------------------------------------------------
 # Taylor tower of cos(sqrt(w)):  c_j(w) = (1/j!) (d/dw)^j cos(sqrt(w)).
 # Closed forms in s = sqrt(w) are even in s; a series branch covers a disk
@@ -112,13 +120,6 @@ def gauss_legendre(n):
     return _GL_CACHE[n]
 
 
-def gl_nodes_on(a, b, n):
-    """Nodes and weights for integral over [a, b]."""
-    t, w = gauss_legendre(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * t, half * w
-
-
 # ---------------------------------------------------------------------------
 # Canonical JSON: sorted keys, floats at 17 significant digits, complex as
 # [re, im]. Deterministic across runs; atomic writes.
@@ -148,7 +149,8 @@ def _fmt(value):
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError("non-finite float in canonical JSON")
-        return f"{value:.17g}"
+        # + 0.0 maps -0.0 to 0.0: JSON -0 reads back as the integer 0
+        return f"{value + 0.0:.17g}"
     if isinstance(value, complex):
         return _fmt([value.real, value.imag])
     if isinstance(value, (np.integer,)):

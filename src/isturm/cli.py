@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import sys
 
@@ -16,9 +15,9 @@ from .forward import forward_spectral_data
 from .model import ModelData
 from .problem import problem_from_json
 from .reconstruct import invert_spectral_data
-from .regular import check_r2_shift
+from .refine import invert_regular
 from .spectral import spectral_data_from_json, spectral_data_to_json
-from .verify import roundtrip
+from .verify import regular_roundtrip, roundtrip
 
 # Exit code of a failed command: the first row whose type matches the error.
 _EXIT_CODES = (
@@ -91,20 +90,14 @@ def cmd_forward(args) -> int:
 
 def cmd_invert(args) -> int:
     sd = spectral_data_from_json(read_json(args.config))
-    if args.regular:
-        from .refine import invert_refined, rebuild_sigma_tail, recover_q
-        ref = invert_refined(sd, K=args.K, n_x=args.nx, N=args.N)
-        res = ref.base
-        q, _ = recover_q(ref.sigma, ref.x_grid, res.K)
-        sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
-        out = dataclasses.replace(ref, sigma=sigma_fixed)
-    else:
-        res = out = invert_spectral_data(sd, K=args.K, n_x=args.nx, N=args.N)
+    invert = invert_regular if args.regular else invert_spectral_data
+    out = invert(sd, K=args.K, n_x=args.nx, N=args.N)
+    res = out.base if args.regular else out
     payload = _reconstruction_json(out)
     if args.regular:
-        payload["q"] = [cplx(v) for v in q]
-        payload["r2_check"] = check_r2_shift(out.r2, out.r1, sig_pi).to_json()
-        payload["sigma_pi"] = cplx(sig_pi)
+        payload["q"] = [cplx(v) for v in out.q]
+        payload["r2_check"] = out.r2_check.to_json()
+        payload["sigma_pi"] = cplx(out.sigma_pi)
     write_json_atomic(args.out, payload)
     if args.diag:
         write_json_atomic(args.diag, payload["diagnostics"])
@@ -118,34 +111,18 @@ def cmd_roundtrip(args) -> int:
     cfg = read_json(args.config)
     full = problem_from_json(cfg)
     tol = _tolerances(cfg)
-    if args.regular:
-        from .verify import regular_roundtrip
-        rep = regular_roundtrip(full, args.K, n_x_forward=args.nx,
-                                n_x_inverse=min(args.nx, 512))
-    else:
-        rep = roundtrip(full, args.K, n_x_forward=args.nx,
-                        n_x_inverse=min(args.nx, 512))
-    ok = (rep["sigma_l2_error"] <= tol["sigma_l2"]
-          and rep["r1_coeff_error"] <= tol["r1"]
-          and rep["r2_coeff_error"] <= tol["r2"])
-    lines = [
-        f"sigma L2 error : {rep['sigma_l2_error']:.3e} (tol {tol['sigma_l2']:g})",
-        f"r1 coeff error : {rep['r1_coeff_error']:.3e} (tol {tol['r1']:g})",
-        f"r2 coeff error : {rep['r2_coeff_error']:.3e} (tol {tol['r2']:g})",
-        f"forward {rep['t_forward']:.1f}s, invert {rep['t_invert']:.1f}s",
-    ]
-    print("\n".join(lines))
+    run = regular_roundtrip if args.regular else roundtrip
+    rep = run(full, args.K, n_x_forward=args.nx, n_x_inverse=min(args.nx, 512))
+    checks = (("sigma L2 error", "sigma_l2_error", "sigma_l2"),
+              ("r1 coeff error", "r1_coeff_error", "r1"),
+              ("r2 coeff error", "r2_coeff_error", "r2"))
+    ok = all(rep[key] <= tol[t] for _, key, t in checks)
+    for label, key, t in checks:
+        print(f"{label} : {rep[key]:.3e} (tol {tol[t]:g})")
+    print(f"forward {rep['t_forward']:.1f}s, invert {rep['t_invert']:.1f}s")
     if args.out:
-        payload = {
-            "K": rep["K"],
-            "sigma_l2_error": rep["sigma_l2_error"],
-            "r1_coeff_error": rep["r1_coeff_error"],
-            "r2_coeff_error": rep["r2_coeff_error"],
-            "t_forward": rep["t_forward"],
-            "t_invert": rep["t_invert"],
-            "pass": bool(ok),
-        }
-        write_json_atomic(args.out, payload)
+        keys = ["K", "t_forward", "t_invert"] + [key for _, key, _ in checks]
+        write_json_atomic(args.out, {**{k: rep[k] for k in keys}, "pass": ok})
     return 0 if ok else 1
 
 

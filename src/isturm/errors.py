@@ -41,12 +41,12 @@ class AmbiguousOffset(IsturmError):
     """Asymptotic index offset is too far from both integer and half-integer."""
 
 
-class OrderTooHigh(IsturmError):
-    """Requested derivative order exceeds the supported multiplicity cap."""
-
-
 class MalformedInput(IsturmError, ValueError):
     """Input data breaks its schema or cannot be truncated as asked."""
+
+
+class OrderTooHigh(MalformedInput):
+    """Requested derivative order or model degree exceeds the multiplicity cap."""
 
 
 class Singular(IsturmError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import sqrt_lambda
+from ._util import lam_batch, sqrt_lambda
 from .errors import (AtPole, CountMismatch, MalformedInput, NoConvergence, NonFiniteState,
                      PoleTooClose)
 from .problem import Polynomial, ProblemL, SigmaFunction, poly_eval
@@ -31,6 +31,7 @@ _GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 # elements (steps x lambda) per block of step matrices in _propagate
 _BLOCK = 4096
+_N_QUAD = 64  # midpoint nodes of each weight-number circle
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,6 @@ def integrate_solution(sigma: SigmaFunction, lam, init, direction: str = "ltr",
     return SolutionTrace(grid=np.linspace(0.0, PI, n_x), y=Y[:, 0], y_quasi=YQ[:, 0])
 
 
-def _phi_end_batch(sigma, lam, n_x):
-    mesh, _ = _step_mesh(sigma, n_x)
-    return _propagate(sigma, lam, 1.0, 0.0, mesh)
-
-
 def _psi_zero_batch(prob: ProblemL, lam, n_x):
     """(psi(0), psi^[1](0)) from the backward sweep with psi(pi)=r1, psi^[1](pi)=-r2."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -186,38 +182,20 @@ def _psi_zero_batch(prob: ProblemL, lam, n_x):
                       -poly_eval(prob.r2, lam), mesh[::-1])
 
 
-def phi_at(sigma: SigmaFunction, lam, n_x: int = 1024):
-    """phi(pi, lam), phi^[1](pi, lam) for the initial data phi(0)=1, phi^[1](0)=0."""
-    y, yq = _phi_end_batch(sigma, lam, n_x)
-    if np.ndim(lam) == 0:
-        return complex(y[0]), complex(yq[0])
-    return y, yq
-
-
 def char_delta(prob: ProblemL, lam, n_x: int = 1024):
     """Characteristic function Delta = r1 phi^[1](pi) + r2 phi(pi) = -psi^[1](0)."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam_arr, shaped = lam_batch(lam)
     _, yq0 = _psi_zero_batch(prob, lam_arr, n_x)
-    out = -yq0
-    if np.ndim(lam) == 0:
-        return complex(out[0])
-    return out
+    return shaped(-yq0)
 
 
 def weyl_M(prob: ProblemL, lam, n_x: int = 1024):
     """Weyl function of the inner problem, the orientation with residues -> 2/pi.
 
-    This is psi(0)/psi^[1](0) = -psi(0)/Delta; for the model problem it equals
-    cos(rho pi) / (rho sin(rho pi)).
+    This is psi(0)/psi^[1](0) = -psi(0)/Delta, weyl_M1 with p1 = 1, p2 = 0; for
+    the model problem it equals cos(rho pi) / (rho sin(rho pi)).
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    y0, yq0 = _psi_zero_batch(prob, lam_arr, n_x)
-    if np.any(np.abs(yq0) < 1e-13 * np.maximum(np.abs(y0), 1.0)):
-        raise AtPole("weyl_M evaluated at (or too near) an eigenvalue")
-    out = y0 / yq0
-    if np.ndim(lam) == 0:
-        return complex(out[0])
-    return out
+    return weyl_M1(prob, Polynomial([1.0]), Polynomial([0.0]), lam, n_x)
 
 
 def weyl_M1(prob: ProblemL, p1: Polynomial, p2: Polynomial, lam, n_x: int = 1024):
@@ -226,15 +204,12 @@ def weyl_M1(prob: ProblemL, p1: Polynomial, p2: Polynomial, lam, n_x: int = 1024
     Oriented so that the Moebius reduction M = p1 M1 / (1 + p2 M1) returns
     weyl_M exactly: M1 = psi(0) / (p1 psi^[1](0) - p2 psi(0)).
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam_arr, shaped = lam_batch(lam)
     y0, yq0 = _psi_zero_batch(prob, lam_arr, n_x)
     den = poly_eval(p1, lam_arr) * yq0 - poly_eval(p2, lam_arr) * y0
     if np.any(np.abs(den) < 1e-13 * np.maximum(np.abs(y0), 1.0)):
         raise AtPole("weyl_M1 evaluated at a pole")
-    out = y0 / den
-    if np.ndim(lam) == 0:
-        return complex(out[0])
-    return out
+    return shaped(y0 / den)
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +616,13 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     return records
 
 
-def weight_numbers(prob: ProblemL, eigs: list[EigenRecord], n_x: int = 1024,
-                   n_quad: int = 64) -> list[EigenRecord]:
+def weight_numbers(prob: ProblemL, eigs: list[EigenRecord],
+                   n_x: int = 1024) -> list[EigenRecord]:
     """Fill principal-part coefficients alpha_{k+j} by circle quadrature of the
     forward-computed Weyl function; simple real poles are cross-checked against
     psi(0, lam)/Delta'(lam)."""
     lam_c = np.array([r.lam for r in eigs], dtype=complex)
-    th = np.exp(2j * PI * (np.arange(n_quad) + 0.5) / n_quad)
+    th = np.exp(2j * PI * (np.arange(_N_QUAD) + 0.5) / _N_QUAD)
 
     radii = np.empty(len(eigs))
     for k in range(len(eigs)):
@@ -659,7 +634,7 @@ def weight_numbers(prob: ProblemL, eigs: list[EigenRecord], n_x: int = 1024,
 
     pts = (lam_c[:, None] + radii[:, None] * th[None, :]).ravel()
     y0, yq0 = _psi_zero_batch(prob, pts, n_x)
-    Mv = (y0 / yq0).reshape(len(eigs), n_quad)
+    Mv = (y0 / yq0).reshape(len(eigs), _N_QUAD)
 
     # cross-check data of every simple real pole: psi at lam - h, lam + h and
     # lam, propagated in one batch

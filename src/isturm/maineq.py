@@ -278,19 +278,6 @@ def solve_at_x(ctx: MainEquationContext, x: float):
     return phi0, phi1, dphi0, dphi1, cond
 
 
-def dump_system(system: MainEquationSystem, psi: np.ndarray, cond: float, path):
-    """Debug dump of one grid point's system: psi_tilde, H, solution, condition."""
-    from ._util import cplx, write_json_atomic
-    write_json_atomic(path, {
-        "x": float(system.x),
-        "K": system.K,
-        "cond": float(cond),
-        "psi_tilde": [cplx(v) for v in system.psi_tilde],
-        "psi": [cplx(v) for v in psi],
-        "H": [[cplx(v) for v in row] for row in system.H],
-    })
-
-
 def solve_on_grid(sd: SpectralData, md: ModelData, K: int, n_x: int = 512,
                   ctx: MainEquationContext | None = None) -> PhiTable:
     """Build, factor and solve the system at every node of the uniform grid.

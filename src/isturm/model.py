@@ -12,10 +12,11 @@ D(x, lam, mu) * (Weyl difference)(mu) give the system coefficients Q.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ._util import (MAX_DERIV_ORDER, gl_nodes_on, phi_model, phi_model_dx,
-                    sqrt_lambda)
+from ._util import MAX_DERIV_ORDER, gauss_legendre, phi_model, sqrt_lambda
 from .errors import MalformedInput, OrderTooHigh
 from .spectral import SpectralData
 
@@ -45,23 +46,11 @@ class ModelData:
         return complex(2 / PI)
 
     def spectral_data(self, K: int) -> SpectralData:
+        if K <= self.M1:
+            raise MalformedInput(f"K={K} splits the model's {self.M1 + 1}-fold zero")
         lams = [self.lambda_tilde(n) for n in range(1, K + 1)]
         alphas = [self.alpha_tilde(n) for n in range(1, K + 1)]
         return SpectralData.from_flat(lams, alphas, m1=self.M1, case="M1=M2")
-
-
-def model_phi(x, lam, j: int = 0):
-    """(1/j!) d^j/dlam^j of cos(sqrt(lam) x); entire, safe at lam = 0."""
-    if j > MAX_DERIV_ORDER:
-        raise OrderTooHigh(f"derivative order {j} above the cap")
-    return phi_model(j, x, lam)
-
-
-def model_phi_dx(x, lam, j: int = 0):
-    """x-derivative of model_phi."""
-    if j > MAX_DERIV_ORDER:
-        raise OrderTooHigh(f"derivative order {j} above the cap")
-    return phi_model_dx(j, x, lam)
 
 
 def kernel_D(x, lam, mu):
@@ -97,40 +86,50 @@ def kernel_D(x, lam, mu):
     return out
 
 
-def _quad_nodes(x, scale):
-    n = int(min(700, max(24, 0.9 * x * scale + 16)))
-    return gl_nodes_on(0.0, x, n)
+# Gauss-Legendre node counts of kernel_D_derivs_batch, about sqrt(2) apart
+_NODE_LADDER = np.array([24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 700])
 
 
-def kernel_D_derivs(x, lam, mu, j_lam: int = 0, j_mu: int = 0):
-    """(1/j_lam!)(1/j_mu!) d^j_lam_lam d^j_mu_mu of D(x, lam, mu).
-
-    Evaluated as int_0^x phi_model(j_lam) phi_model(j_mu) dt by Gauss-Legendre
-    quadrature with the node count scaled to x max(|rho|)."""
-    if j_lam > MAX_DERIV_ORDER or j_mu > MAX_DERIV_ORDER:
-        raise OrderTooHigh("kernel derivative order above the multiplicity cap")
-    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex))
-    j = np.zeros(lam.size, dtype=int)
-    out = kernel_D_derivs_batch(x, lam.ravel(), j + j_lam, mu.ravel(), j + j_mu).reshape(lam.shape)
-    if out.shape == ():
-        return complex(out)
-    return out
+@functools.cache
+def _ladder_rules():
+    """Nodes and weights on [-1, 1] of every _NODE_LADDER rule, end to end,
+    and the offset of each rule."""
+    t, w = zip(*(gauss_legendre(int(n)) for n in _NODE_LADDER))
+    return np.concatenate(t), np.concatenate(w), np.cumsum(_NODE_LADDER) - _NODE_LADDER
 
 
 def kernel_D_derivs_batch(x, lams, j_lams, mus, j_mus):
-    """Vectorized kernel derivatives for mixed order batches (shared nodes)."""
+    """Vectorized kernel derivatives for mixed order batches (1-D arrays).
+
+    Each entry takes the Gauss-Legendre rule sized by its own
+    x (|rho_lam| + |rho_mu|), rounded up to _NODE_LADDER, so its value does
+    not depend on the other entries of the batch.  The entries of one order
+    pair are evaluated in one flat array, node by node, and each entry's
+    products are summed by np.add.reduceat over its own segment.  Orders
+    above MAX_DERIV_ORDER raise OrderTooHigh."""
     lams = np.asarray(lams, dtype=complex)
     mus = np.asarray(mus, dtype=complex)
     j_lams = np.asarray(j_lams, dtype=int)
     j_mus = np.asarray(j_mus, dtype=int)
     out = np.zeros(lams.shape, dtype=complex)
-    if x == 0.0 or lams.size == 0:
+    if lams.size == 0:
         return out
-    scale = float(np.max(np.abs(sqrt_lambda(lams))) + np.max(np.abs(sqrt_lambda(mus))))
-    t, w = _quad_nodes(x, scale)
-    for jl, jm in np.unique(np.stack([j_lams.ravel(), j_mus.ravel()]), axis=1).T:
-        sel = (j_lams == jl) & (j_mus == jm)
-        fl = phi_model(int(jl), t[:, None], lams[sel][None, :])
-        fm = phi_model(int(jm), t[:, None], mus[sel][None, :])
-        out[sel] = (w[:, None] * fl * fm).sum(axis=0)
+    if max(j_lams.max(), j_mus.max()) > MAX_DERIV_ORDER:
+        raise OrderTooHigh("kernel derivative order above the multiplicity cap")
+    if x == 0.0:
+        return out
+    n_raw = np.minimum(700, np.maximum(24, 0.9 * x * (np.abs(sqrt_lambda(lams))
+                                                      + np.abs(sqrt_lambda(mus))) + 16))
+    rung = np.searchsorted(_NODE_LADDER, n_raw.astype(int))
+    t_ref, w_ref, start = _ladder_rules()
+    half = 0.5 * x
+    for jl, jm in np.unique(np.stack([j_lams, j_mus]), axis=1).T:
+        e = np.flatnonzero((j_lams == jl) & (j_mus == jm))
+        n = _NODE_LADDER[rung[e]]
+        first = np.cumsum(n) - n
+        node = np.repeat(start[rung[e]] - first, n) + np.arange(first[-1] + n[-1])
+        t = half + half * t_ref[node]
+        fl = phi_model(int(jl), t, np.repeat(lams[e], n))
+        fm = phi_model(int(jm), t, np.repeat(mus[e], n))
+        out[e] = np.add.reduceat(half * w_ref[node] * fl * fm, first)
     return out

@@ -55,9 +55,15 @@ class Polynomial:
     def scaled(self, factor: complex) -> "Polynomial":
         return Polynomial([factor * c for c in self.coeffs])
 
-    def coeff(self, n: int) -> complex:
-        """Coefficient of lambda**n, zero beyond the stored degree."""
-        return self.coeffs[n] if n < len(self.coeffs) else 0.0
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        """Coefficientwise sum, the shorter polynomial padded with zeros."""
+        c = np.zeros(max(len(self.coeffs), len(other.coeffs)), dtype=complex)
+        c[: len(self.coeffs)] += self.coeffs
+        c[: len(other.coeffs)] += other.coeffs
+        return Polynomial(c)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + Polynomial(-other.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
@@ -95,7 +101,8 @@ def _poly_divmod(a: np.ndarray, b: np.ndarray):
 
 
 def poly_gcd_degree(p: Polynomial, q: Polynomial, rtol: float = ZERO_RTOL) -> int:
-    """Degree of the monic gcd, Euclidean algorithm with deflation."""
+    """Degree of the monic gcd, Euclidean algorithm with deflation; every
+    threshold is relative, so a common factor of p and q changes nothing."""
     a, b = p.as_array(), q.as_array()
     if p.is_zero and q.is_zero:
         raise BothZero("gcd of two zero polynomials")
@@ -107,11 +114,13 @@ def poly_gcd_degree(p: Polynomial, q: Polynomial, rtol: float = ZERO_RTOL) -> in
         a, b = b, a
     while True:
         b = _trim(b, rtol)
-        if len(b) == 1 and abs(b[0]) <= rtol * max(1.0, np.max(np.abs(a))):
+        if len(b) == 1 and abs(b[0]) <= rtol * np.max(np.abs(a)):
             return len(_trim(a, rtol)) - 1
         if len(b) == 1:
             return 0
         _, r = _poly_divmod(_trim(a, rtol), b)
+        if np.max(np.abs(r)) <= rtol * np.max(np.abs(b)):
+            return len(b) - 1  # b divides a up to rounding
         a, b = b, r
 
 
@@ -137,7 +146,12 @@ def normalize_pair(r1: Polynomial, r2: Polynomial):
         case = "M1=M2-1"
         lead = r2.coeffs[-1]
     inv = 1.0 / lead
-    return r1.scaled(inv), r2.scaled(inv), case
+    r1, r2 = r1.scaled(inv), r2.scaled(inv)
+    # lead * inv can miss 1 by an ulp, and normalizing again would then move
+    # every coefficient: the monic polynomial gets its leading 1 exactly
+    if case == "M1=M2":
+        return Polynomial(r1.coeffs[:-1] + (1.0,)), r2, case
+    return r1, Polynomial(r2.coeffs[:-1] + (1.0,)), case
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +333,9 @@ class FullProblem:
     inner: ProblemL
 
     def __post_init__(self):
-        if self.p1.is_zero and self.p2.is_zero:
-            raise BothZero("pair (p1, p2)")
-        if not self.p1.is_zero and not self.p2.is_zero:
-            if poly_gcd_degree(self.p1, self.p2) > 0:
-                raise NotCoprime("p1 and p2 share a nonconstant factor")
-        # Same scaling convention as (r1, r2); a recorded convention, the
-        # boundary condition itself is scale free.
+        # normalize_pair rejects a zero or non-coprime pair and applies the
+        # scaling convention of (r1, r2); a recorded convention, the boundary
+        # condition itself is scale free.
         p1n, p2n, _ = normalize_pair(self.p1, self.p2)
         object.__setattr__(self, "p1", p1n)
         object.__setattr__(self, "p2", p2n)

@@ -15,16 +15,16 @@ is self-consistent only with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import phi_model, phi_model_dx, sqrt_lambda
+from ._util import lam_batch, phi_model, phi_model_dx, sqrt_lambda
 from .errors import ContourThroughPole, FitResidualTooLarge, UnsupportedCase
 from .maineq import MainEquationContext, PhiTable, solve_at_x, solve_on_grid
 from .model import ModelData
 from .problem import Polynomial
-from .spectral import SpectralData, detect_M1
+from .spectral import SpectralData, _principal_part_sum, detect_M1
 
 PI = np.pi
 CONTOUR_MARGIN = 2      # contour indices added past the last one that must be inside
@@ -73,19 +73,17 @@ def choose_contour(ctx: MainEquationContext) -> ContourSpec:
 # Series evaluation of phi^K(x, lam) at arbitrary lam.
 
 
-def _series_matrix(ctx: MainEquationContext, x: float, lam_s: np.ndarray):
-    """B[i][s, k] = principal-part coefficient sums A_{k,i}(x, lam_s).
-
-    Columns of cluster members with derivative terms come from
-    ``MainEquationContext.kernel_columns``, the builder behind ``q_blocks``."""
-    return ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
+def _node(table: PhiTable, x: float):
+    """Index of the grid node at x (within 1e-12), or None off the grid."""
+    n_x = len(table.x_grid)
+    ix = int(round(x / PI * (n_x - 1)))
+    return ix if 0 <= ix < n_x and abs(table.x_grid[ix] - x) < 1e-12 else None
 
 
 def _phi_values_at(table: PhiTable, x: float):
     """Table columns at a grid node, or a fresh per-x solve off the grid."""
-    n_x = len(table.x_grid)
-    ix = int(round(x / PI * (n_x - 1)))
-    if 0 <= ix < n_x and abs(table.x_grid[ix] - x) < 1e-12:
+    ix = _node(table, x)
+    if ix is not None:
         return (table.phi[:, 0, ix], table.phi[:, 1, ix],
                 table.dphi[:, 0, ix], table.dphi[:, 1, ix])
     p0, p1, d0, d1, _ = solve_at_x(table.ctx, x)
@@ -94,47 +92,27 @@ def _phi_values_at(table: PhiTable, x: float):
 
 def phi_K_of_lambda(table: PhiTable, x: float, lam):
     """phi^K(x, lam) by the finite series around the model solution."""
-    lam_s = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam_s, shaped = lam_batch(lam)
     phi0, phi1, _, _ = _phi_values_at(table, x)
-    B0, B1 = _series_matrix(table.ctx, x, lam_s)
-    out = phi_model(0, x, lam_s) - (B0 @ phi0 - B1 @ phi1)
-    if np.ndim(lam) == 0:
-        return complex(out[0])
-    return out
+    B0, B1 = table.ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
+    return shaped(phi_model(0, x, lam_s) - (B0 @ phi0 - B1 @ phi1))
 
 
 def dphi_K_dx(table: PhiTable, x: float, lam):
     """Exact x-derivative of phi^K(x, lam): differentiates both the kernel
     coefficients and the table values, no numerical differencing."""
-    lam_s = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam_s, shaped = lam_batch(lam)
     phi0, phi1, dphi0, dphi1 = _phi_values_at(table, x)
-    B0, B1 = _series_matrix(table.ctx, x, lam_s)
+    B0, B1 = table.ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
     # dB[i][s, k] = phi_model(x, lam_s) * G_i[k]
     G = table.ctx.g_vectors(x)
     f0 = phi_model(0, x, lam_s)
-    out = phi_model_dx(0, x, lam_s) \
-        - (f0 * (G[0] @ phi0) + B0 @ dphi0 - f0 * (G[1] @ phi1) - B1 @ dphi1)
-    if np.ndim(lam) == 0:
-        return complex(out[0])
-    return out
-
-
-def _grid_index(table: PhiTable, x: float) -> int:
-    ix = int(round(x / PI * (len(table.x_grid) - 1)))
-    if not np.isclose(table.x_grid[ix], x, atol=1e-12):
-        raise ValueError(f"x={x} is not a grid node")
-    return ix
+    return shaped(phi_model_dx(0, x, lam_s)
+                  - (f0 * (G[0] @ phi0) + B0 @ dphi0 - f0 * (G[1] @ phi1) - B1 @ dphi1))
 
 
 # ---------------------------------------------------------------------------
-# Cluster helpers shared by the reconstruction formulas.
-
-
-def _clusters(ctx: MainEquationContext, fam: int):
-    """(head, size, lam, alphas) per cluster of the chosen family."""
-    fam_sd = ctx.fams[fam]["sd"]
-    return [(h, m, complex(fam_sd.lam[h]), fam_sd.alpha[h:h + m])
-            for h, m in zip(fam_sd.heads, fam_sd.sizes)]
+# The residue sum shared by the reconstruction formulas.
 
 
 _BOTH = ((0, 1.0), (1, -1.0))   # (family, sign): data poles minus model poles
@@ -159,7 +137,9 @@ def _residue_sum(ctx: MainEquationContext, fams, tower, x, values, lam=None,
     """
     total = 0j
     for fam, sign in fams:
-        for h, m, lam_h, alphas in _clusters(ctx, fam):
+        fam_sd = ctx.fams[fam]["sd"]
+        for h, m in zip(fam_sd.heads, fam_sd.sizes):
+            lam_h, alphas = complex(fam_sd.lam[h]), fam_sd.alpha[h:h + m]
             if abs(lam_h) >= radius:
                 continue
             phit = [tower(p, x, lam_h) for p in range(m)]
@@ -184,7 +164,6 @@ class SigmaResult:
     sigma_pi_raw: complex       # series value at pi (used by the r2 formula)
     sigma_pi: complex           # repaired endpoint value
     defect: complex             # raw - extrapolated at pi
-    diagnostics: dict = field(default_factory=dict)
 
 
 def reconstruct_sigma(table: PhiTable) -> SigmaResult:
@@ -205,13 +184,8 @@ def reconstruct_sigma(table: PhiTable) -> SigmaResult:
     extrap = np.polyval(coef, xs[fit_hi:] - xs_fit[0])
     values = raw.copy()
     values[fit_hi:] = extrap
-    defect = complex(raw[-1] - values[-1])
-    return SigmaResult(
-        x_grid=xs, values=values, raw=raw,
-        sigma_pi_raw=complex(raw[-1]), sigma_pi=complex(values[-1]),
-        defect=defect,
-        diagnostics={"repair_points": int(n_x - fit_hi), "endpoint_defect": defect},
-    )
+    return SigmaResult(x_grid=xs, values=values, raw=raw, sigma_pi_raw=complex(raw[-1]),
+                       sigma_pi=complex(values[-1]), defect=complex(raw[-1] - values[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +203,6 @@ def _g_factor(ctx: MainEquationContext, lam_s: np.ndarray) -> np.ndarray:
         if k >= M1:
             out = out / (lam_s - lam1[k])
     return out
-
-
-def _pole_sums_r(table: PhiTable, lam_s: np.ndarray, quasi_pi: np.ndarray | None):
-    """The two data-pole partial-fraction sums of the r formulas.
-
-    Returns (E_sum, S1) where E_sum(lam) = sum alpha phit' phiK / (lam - lam_k0)
-    with cluster derivative terms, and S1 the same with the quasi-derivative
-    values in place of phiK (None when quasi_pi is None).
-    """
-    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_s)
-    S1 = None if quasi_pi is None else \
-        _residue_sum(table.ctx, _DATA, phi_model_dx, PI, quasi_pi[:, None], lam=lam_s)
-    return E, S1
 
 
 def _bc_constant_sum(table: PhiTable) -> complex:
@@ -272,9 +233,18 @@ def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
     return pts
 
 
-def _fit_poly(lam_s: np.ndarray, vals: np.ndarray, degree: int):
-    """Least-squares polynomial fit in a shifted-scaled basis; returns
-    (ascending coefficients, relative residual)."""
+def _fit_r(name: str, table: PhiTable, contour: ContourSpec, lam_samples, expression):
+    """Degree-M1 least-squares fit of _g_factor(lam) * expression(lam) at
+    lam_samples (default_lambda_samples when None), in a shifted-scaled basis.
+
+    Returns (ascending coefficients, relative residual); a residual above
+    FIT_RESID_TOL raises FitResidualTooLarge."""
+    ctx = table.ctx
+    if lam_samples is None:
+        lam_samples = default_lambda_samples(ctx, contour)
+    lam_s = np.asarray(lam_samples, dtype=complex)
+    vals = _g_factor(ctx, lam_s) * expression(lam_s)
+    degree = ctx.md.M1
     mid = np.mean(lam_s.real)
     half = max(np.max(np.abs(lam_s.real - mid)), 1.0)
     t = (lam_s - mid) / half
@@ -282,30 +252,30 @@ def _fit_poly(lam_s: np.ndarray, vals: np.ndarray, degree: int):
     c_t, *_ = np.linalg.lstsq(V, vals, rcond=None)
     # the floor keeps identically-zero expressions (model data) from tripping
     # the relative residual
-    resid = np.max(np.abs(V @ c_t - vals)) / max(np.max(np.abs(vals)), 1e-9)
+    resid = float(np.max(np.abs(V @ c_t - vals)) / max(np.max(np.abs(vals)), 1e-9))
+    if resid > FIT_RESID_TOL:
+        raise FitResidualTooLarge(f"{name} fit residual {resid:.3g}")
     # convert sum c_t[k] ((lam - mid)/half)^k to ascending powers of lam
     poly = np.zeros(degree + 1, dtype=complex)
     base = np.array([1.0], dtype=complex)
     for k in range(degree + 1):
         poly[: k + 1] += c_t[k] * base
         base = np.convolve(base, np.array([-mid / half, 1.0 / half], dtype=complex))
-    return poly, float(resid)
+    return poly, resid
+
+
+def _quasi_pi(table: PhiTable, sigma_pi_raw: complex) -> np.ndarray:
+    """Quasi-derivative phi' - sigma phi at pi of the data family."""
+    return table.dphi[:, 0, -1] - sigma_pi_raw * table.phi[:, 0, -1]
 
 
 def reconstruct_r1(table: PhiTable, contour: ContourSpec,
                    lam_samples: np.ndarray | None = None):
-    """Monic degree-M1 polynomial from the product-times-sum expression, fitted
-    at lam_samples (default_lambda_samples when None); a relative fit residual
-    above FIT_RESID_TOL raises FitResidualTooLarge."""
-    ctx = table.ctx
-    if lam_samples is None:
-        lam_samples = default_lambda_samples(ctx, contour)
-    lam_s = np.asarray(lam_samples, dtype=complex)
-    E, _ = _pole_sums_r(table, lam_s, None)
-    vals = _g_factor(ctx, lam_s) * (1.0 - E)
-    coeffs, resid = _fit_poly(lam_s, vals, ctx.md.M1)
-    if resid > FIT_RESID_TOL:
-        raise FitResidualTooLarge(f"r1 fit residual {resid:.3g}")
+    """Monic degree-M1 polynomial from the product-times-sum expression
+    1 - sum alpha phit'(pi) phiK(pi) / (lam - lam_k0), with cluster derivative
+    terms, fitted and checked by _fit_r."""
+    coeffs, resid = _fit_r("r1", table, contour, lam_samples, lambda lam: 1.0 - _residue_sum(
+        table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam))
     lead = coeffs[-1]
     diag = {"fit_residual": resid, "leading_coeff_raw": complex(lead)}
     return Polynomial(coeffs / lead), diag
@@ -314,23 +284,15 @@ def reconstruct_r1(table: PhiTable, contour: ContourSpec,
 def reconstruct_r2(table: PhiTable, contour: ContourSpec,
                    sigma: SigmaResult | None = None,
                    lam_samples: np.ndarray | None = None):
-    """Degree <= M1 polynomial; the quasi-derivative at pi uses the raw series
-    value of sigma^K(pi) (reconstruct_sigma(table) when sigma is None).  Fitted
-    and checked against FIT_RESID_TOL as in reconstruct_r1."""
-    ctx = table.ctx
+    """Degree <= M1 polynomial, fitted and checked by _fit_r; the
+    quasi-derivative at pi uses the raw series value of sigma^K(pi)
+    (reconstruct_sigma(table) when sigma is None)."""
     if sigma is None:
         sigma = reconstruct_sigma(table)
-    if lam_samples is None:
-        lam_samples = default_lambda_samples(ctx, contour)
-    lam_s = np.asarray(lam_samples, dtype=complex)
-    ix = len(table.x_grid) - 1
-    quasi_pi = table.dphi[:, 0, ix] - sigma.sigma_pi_raw * table.phi[:, 0, ix]
-    _, S1 = _pole_sums_r(table, lam_s, quasi_pi)
+    quasi = _quasi_pi(table, sigma.sigma_pi_raw)
     S2 = _bc_constant_sum(table)
-    vals = _g_factor(ctx, lam_s) * (S1 - S2)
-    coeffs, resid = _fit_poly(lam_s, vals, ctx.md.M1)
-    if resid > FIT_RESID_TOL:
-        raise FitResidualTooLarge(f"r2 fit residual {resid:.3g}")
+    coeffs, resid = _fit_r("r2", table, contour, lam_samples, lambda lam: _residue_sum(
+        table.ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam) - S2)
     diag = {"fit_residual": resid, "bc_constant": complex(-S2)}
     return Polynomial(coeffs), diag
 
@@ -341,15 +303,7 @@ def reconstruct_r2(table: PhiTable, contour: ContourSpec,
 
 def weyl_difference_truncated(ctx: MainEquationContext, mu: np.ndarray) -> np.ndarray:
     """hat M^K(mu): the K-truncated data partial fraction minus the model one."""
-    mu = np.asarray(mu, dtype=complex)
-    out = np.zeros_like(mu)
-    for fam, sign in _BOTH:
-        for h, m, lam_h, alphas in _clusters(ctx, fam):
-            dl = mu - lam_h
-            for j in range(m):
-                if alphas[j] != 0:
-                    out = out + sign * alphas[j] / dl ** (j + 1)
-    return out
+    return _principal_part_sum(np.asarray(mu, dtype=complex), ((ctx.sd, 1.0), (ctx.mds, -1.0)))
 
 
 def weyl_model(mu):
@@ -365,7 +319,9 @@ def weyl_model(mu):
 def sigma_contour_residue(table: PhiTable, contour: ContourSpec, x: float) -> complex:
     """Residue evaluation of -(1/pi i) oint (phit phiK - 1/2) hatM dmu over
     the poles inside the contour; x must be a grid node."""
-    ix = _grid_index(table, x)
+    ix = _node(table, x)
+    if ix is None:
+        raise ValueError(f"x={x} is not a grid node")
     total = _residue_sum(table.ctx, _BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
                          radius=contour.radius)
     return complex(-2.0 * total)
@@ -405,11 +361,10 @@ def r2_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex,
                        sigma_pi_raw: complex):
     """The two r2 contour terms as residue sums: (quasi-derivative integral
     against M, boundary integral against hatM)."""
-    ix = len(table.x_grid) - 1
-    quasi = table.dphi[:, 0, ix] - sigma_pi_raw * table.phi[:, 0, ix]
-    t_quasi = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam,
+    t_quasi = _residue_sum(table.ctx, _DATA, phi_model_dx, PI,
+                           _quasi_pi(table, sigma_pi_raw)[:, None], lam=lam,
                            radius=contour.radius)
-    t_bc = _residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, ix], offset=1.0,
+    t_bc = _residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, -1], offset=1.0,
                         radius=contour.radius)
     return complex(t_quasi), complex(-t_bc)
 
@@ -452,13 +407,9 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
     solve the main equation on the grid, apply the reconstruction formulas."""
     K = sd.K if K is None else K
     sd = sd.truncated(K)
+    case = sd.case or "M1=M2"
     if m1 is None:
-        if sd.m1 is not None:
-            m1, case = sd.m1, sd.case or "M1=M2"
-        else:
-            m1, case = detect_M1(sd)
-    else:
-        case = sd.case or "M1=M2"
+        m1, case = (sd.m1, case) if sd.m1 is not None else detect_M1(sd)
     if case != "M1=M2":
         raise UnsupportedCase("reconstruction implements the deg(r1) >= deg(r2) case only")
     md = ModelData(m1)

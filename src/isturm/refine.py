@@ -18,6 +18,7 @@ import numpy as np
 from .forward import forward_spectral_data
 from .problem import Polynomial, ProblemL, SigmaGridSamples
 from .reconstruct import ReconstructionResult, invert_spectral_data
+from .regular import check_r2_shift
 from .spectral import SpectralData
 
 PI = np.pi
@@ -40,15 +41,6 @@ def smooth_grid(values: np.ndarray, x_grid: np.ndarray, width: float) -> np.ndar
                               2 * out[-1] - out[-2:-2 - w // 2:-1]])
         out = np.convolve(pad, k, mode="valid")[: len(v)]
     return out
-
-
-def _poly_shift(base: Polynomial, plus: Polynomial, minus: Polynomial) -> Polynomial:
-    n = max(len(base.coeffs), len(plus.coeffs), len(minus.coeffs))
-    c = np.zeros(n, dtype=complex)
-    c[: len(base.coeffs)] += base.coeffs
-    c[: len(plus.coeffs)] += plus.coeffs
-    c[: len(minus.coeffs)] -= minus.coeffs
-    return Polynomial(c)
 
 
 def _realify(values, tol=1e-6):
@@ -89,13 +81,35 @@ def invert_refined(sd: SpectralData, K: int | None = None, n_x: int = 512,
     res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
     delta = sig0_s - smooth_grid(res_p.sigma, xs, width)
     sig_est = sig0_s + delta
-    r1_est = _poly_shift(res0.r1, res0.r1, res_p.r1)
-    r2_est = _poly_shift(res0.r2, res0.r2, res_p.r2)
+    r1_est = res0.r1 + res0.r1 - res_p.r1
+    r2_est = res0.r2 + res0.r2 - res_p.r2
     diagnostics = dict(res0.diagnostics)
     diagnostics["refine_corrections"] = [float(np.max(np.abs(delta)))]
     diagnostics["bc_constant_refined"] = complex(r2_est.coeffs[0]) if r2_est.coeffs else 0j
     return RefinedResult(x_grid=xs, sigma=sig_est, r1=r1_est, r2=r2_est,
                          base=res0, diagnostics=diagnostics)
+
+
+@dataclass
+class RegularResult(RefinedResult):
+    """invert_refined's result in classical form: sigma with its right band
+    rebuilt from q = sigma', and r2_check = r2 - sigma(pi) r1."""
+
+    q: np.ndarray
+    sigma_pi: complex
+    r2_check: Polynomial
+    q_diagnostics: dict
+
+
+def invert_regular(sd: SpectralData, K: int | None = None, n_x: int = 512,
+                   N: int | None = None) -> RegularResult:
+    """The regular-layer chain: invert_refined, recover_q, rebuild_sigma_tail
+    and check_r2_shift."""
+    ref = invert_refined(sd, K=K, n_x=n_x, N=N)
+    q, qdiag = recover_q(ref.sigma, ref.x_grid, ref.base.K)
+    sigma, sigma_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
+    return RegularResult(**{**vars(ref), "sigma": sigma}, q=q, sigma_pi=sigma_pi,
+                         r2_check=check_r2_shift(ref.r2, ref.r1, sigma_pi), q_diagnostics=qdiag)
 
 
 def recover_q(sigma_values: np.ndarray, x_grid: np.ndarray, K: int):

@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FitUnstable
-from .maineq import PhiTable
 from .problem import Polynomial
-from .reconstruct import SigmaResult, _bc_constant_sum, reconstruct_sigma
 
 RHO_MAGS = np.linspace(20.0, 80.0, 13)  # |rho| sample points of the b_N2 fit
 
@@ -41,36 +39,11 @@ def estimate_bN2(m1_fn, N1: int) -> complex:
     return b
 
 
-def build_p2(zeros, bN2: complex) -> Polynomial:
-    """p2(lam) = b_N2 prod_j (lam - z_j); repeated zeros allowed."""
-    coeffs = np.array([1.0], dtype=complex)
-    for z in zeros:
-        coeffs = np.convolve(coeffs, np.array([-complex(z), 1.0], dtype=complex))
-    return Polynomial(complex(bN2) * coeffs)
-
-
 def check_r2_shift(r2: Polynomial, r1: Polynomial, sigma_pi: complex) -> Polynomial:
     """Classical-form boundary polynomial: r2_check = r2 - sigma(pi) r1.
 
     For the normalized class the shift only moves the lower coefficients;
     with r1 = 1 this is the scalar shift of the Robin constant.
     """
-    c2 = np.zeros(max(len(r2.coeffs), len(r1.coeffs)), dtype=complex)
-    c2[: len(r2.coeffs)] = r2.coeffs
-    c2[: len(r1.coeffs)] -= sigma_pi * np.asarray(r1.coeffs)
-    return Polynomial(c2)
+    return r2 - Polynomial(sigma_pi * r1.as_array())
 
-
-def robin_constants(table: PhiTable, sigma: SigmaResult | None = None):
-    """(b0, b0_check) for the constant-condition case M1 = 0 of the table's
-    model.
-
-    b0 is the large-|lambda| limit of the r2 expression (minus the boundary
-    constant sum); b0_check subtracts the reconstructed sigma(pi)
-    (reconstruct_sigma(table) when sigma is None)."""
-    if table.ctx.md.M1 != 0:
-        raise ValueError("robin_constants applies to the M1 = 0 case")
-    if sigma is None:
-        sigma = reconstruct_sigma(table)
-    b0 = -_bc_constant_sum(table)
-    return complex(b0), complex(b0 - sigma.sigma_pi)

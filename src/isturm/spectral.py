@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cplx, from_pair, sqrt_lambda
+from ._util import MAX_DERIV_ORDER, cplx, from_pair, lam_batch, sqrt_lambda
 from .errors import AmbiguousOffset, AtPole, DenominatorZero, MalformedInput
 from .problem import Polynomial, poly_eval
 
@@ -141,14 +141,24 @@ def detect_M1(eigs) -> tuple[int, str]:
 def reduce_weyl(m1esh, p1: Polynomial, p2: Polynomial, lam):
     """Pass from the two-polynomial Weyl function to the inner one:
     M = p1 M1 / (1 + p2 M1)."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam_arr, shaped = lam_batch(lam)
     m1v = np.asarray(m1esh(lam_arr), dtype=complex)
     den = 1.0 + poly_eval(p2, lam_arr) * m1v
     if np.any(np.abs(den) <= 1e-12 * (1.0 + np.abs(poly_eval(p2, lam_arr) * m1v))):
         raise DenominatorZero("1 + p2 M1 vanishes at the evaluation point")
-    out = poly_eval(p1, lam_arr) * m1v / den
-    if np.ndim(lam) == 0:
-        return complex(out[0])
+    return shaped(poly_eval(p1, lam_arr) * m1v / den)
+
+
+def _principal_part_sum(lam: np.ndarray, families) -> np.ndarray:
+    """sum sign alpha_{h+j} / (lam - lam_h)^(j+1) over the clusters (head h)
+    and nonzero weights of each (SpectralData, sign) pair in families."""
+    out = np.zeros_like(lam)
+    for sd, sign in families:
+        for h, m in zip(sd.heads, sd.sizes):
+            dl = lam - sd.lam[h]
+            for j in range(m):
+                if sd.alpha[h + j] != 0:
+                    out = out + sign * sd.alpha[h + j] / dl ** (j + 1)
     return out
 
 
@@ -162,25 +172,19 @@ class WeylPartialFraction:
 
 def eval_partial_fraction(pf: WeylPartialFraction, lam, K_tail: int):
     """Sum of the stored principal parts plus model-tail poles up to K_tail."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam_arr, shaped = lam_batch(lam)
     sd = pf.data
     if np.any(np.min(np.abs(lam_arr[:, None] - sd.lam[None, :]), axis=1)
               <= 1e-8 * (1 + np.abs(lam_arr))):
         raise AtPole("partial fraction evaluated at a stored pole")
-    out = np.zeros_like(lam_arr)
-    for h, m in zip(sd.heads, sd.sizes):
-        dl = lam_arr - sd.lam[h]
-        for j in range(m):
-            out = out + sd.alpha[h + j] / dl ** (j + 1)
+    out = _principal_part_sum(lam_arr, ((sd, 1.0),))
     md = pf.tail_model
     n_tail = np.arange(sd.K + 1, K_tail + 1)
     if len(n_tail):
         lt = np.asarray([md.lambda_tilde(n) for n in n_tail], dtype=complex)
         at = np.asarray([md.alpha_tilde(n) for n in n_tail], dtype=complex)
         out = out + np.sum(at[None, :] / (lam_arr[:, None] - lt[None, :]), axis=1)
-    if np.ndim(lam) == 0:
-        return complex(out[0])
-    return out
+    return shaped(out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +223,11 @@ def spectral_data_from_json(data) -> SpectralData:
     for i, e in enumerate(eigs):
         try:
             lam = from_pair(e["lambda"])
+            m = _integer(e["multiplicity"])
+            if m > MAX_DERIV_ORDER:
+                raise ValueError(f"multiplicity {m} exceeds the cap {MAX_DERIV_ORDER}")
             records.append(EigenRecord(
-                lam=lam, rho=complex(sqrt_lambda(lam)),
-                multiplicity=_integer(e["multiplicity"]),
+                lam=lam, rho=complex(sqrt_lambda(lam)), multiplicity=m,
                 alpha_coeffs=tuple(from_pair(a) for a in e["alpha"]),
             ))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -236,5 +242,7 @@ def spectral_data_from_json(data) -> SpectralData:
         m1 = _integer(data.get("M1", -1))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"M1: {exc!r}") from None
-    return SpectralData.from_records(records, m1=None if m1 < 0 else m1,
-                                     case=data.get("case"))
+    case = data.get("case")
+    if case not in (None, "M1=M2", "M1=M2-1"):
+        raise MalformedInput(f"case {case!r} is neither 'M1=M2' nor 'M1=M2-1'")
+    return SpectralData.from_records(records, m1=None if m1 < 0 else m1, case=case)

@@ -12,7 +12,8 @@ import numpy as np
 from .forward import forward_spectral_data, weyl_M1
 from .problem import FullProblem, Polynomial
 from .reconstruct import invert_spectral_data
-from .regular import check_r2_shift, estimate_bN2
+from .refine import invert_regular
+from .regular import estimate_bN2
 
 
 def sigma_l2_error(x_grid, values, sigma_fn) -> float:
@@ -22,43 +23,40 @@ def sigma_l2_error(x_grid, values, sigma_fn) -> float:
 
 
 def sigma_l2_norm(x_grid, values) -> float:
-    return float(np.sqrt(np.trapezoid(np.abs(np.asarray(values)) ** 2, x_grid)))
+    return sigma_l2_error(x_grid, values, np.zeros_like)
 
 
 def coeff_error(p: Polynomial, target) -> float:
     """Max coefficient deviation against ascending target coefficients."""
-    t = np.asarray(target, dtype=complex)
-    c = np.zeros(max(len(p.coeffs), len(t)), dtype=complex)
-    c[: len(p.coeffs)] = p.coeffs
-    tt = np.zeros_like(c)
-    tt[: len(t)] = t
-    return float(np.max(np.abs(c - tt)))
+    return float(np.max(np.abs((p - Polynomial(target)).as_array())))
+
+
+def _timed_roundtrip(inner, K: int, n_x_forward: int, invert):
+    """forward_spectral_data, then invert(sd); returns invert's result (with
+    x_grid, sigma, r1 and r2) and the report fields both round trips share."""
+    t0 = time.perf_counter()
+    sd = forward_spectral_data(inner, K, n_x_forward)
+    t1 = time.perf_counter()
+    res = invert(sd)
+    t2 = time.perf_counter()
+    return res, {
+        "K": K,
+        "t_forward": t1 - t0,
+        "t_invert": t2 - t1,
+        "sigma_l2_error": sigma_l2_error(res.x_grid, res.sigma, inner.sigma),
+        "r1_coeff_error": coeff_error(res.r1, inner.r1.coeffs),
+        "r2_coeff_error": coeff_error(res.r2, inner.r2.coeffs),
+    }
 
 
 def roundtrip(prob, K: int, n_x_forward: int = 1024, n_x_inverse: int = 512,
               N: int | None = None) -> dict:
     """forward -> invert -> compare; returns a flat report dict."""
     inner = prob.inner if isinstance(prob, FullProblem) else prob
-    t0 = time.perf_counter()
-    sd = forward_spectral_data(inner, K, n_x_forward)
-    t1 = time.perf_counter()
-    res = invert_spectral_data(sd, K=K, n_x=n_x_inverse, N=N)
-    t2 = time.perf_counter()
-
-    return {
-        "K": K,
-        "M1_detected": res.m1,
-        "N": res.N,
-        "t_forward": t1 - t0,
-        "t_invert": t2 - t1,
-        "sigma_l2_error": sigma_l2_error(res.x_grid, res.sigma, inner.sigma),
-        "r1_coeff_error": coeff_error(res.r1, inner.r1.coeffs),
-        "r2_coeff_error": coeff_error(res.r2, inner.r2.coeffs),
-        "r1": res.r1,
-        "r2": res.r2,
-        "diagnostics": res.diagnostics,
-        "result": res,
-    }
+    res, report = _timed_roundtrip(inner, K, n_x_forward,
+                                   lambda sd: invert_spectral_data(sd, K=K, n_x=n_x_inverse, N=N))
+    return {**report, "M1_detected": res.m1, "N": res.N, "r1": res.r1, "r2": res.r2,
+            "diagnostics": res.diagnostics, "result": res}
 
 
 def regular_roundtrip(full: FullProblem, K: int, n_x_forward: int = 1024,
@@ -66,8 +64,6 @@ def regular_roundtrip(full: FullProblem, K: int, n_x_forward: int = 1024,
     """Both-ends polynomial problem: recover b_N2 from the Weyl asymptotics,
     run the inner round trip with defect correction, and transfer back to the
     classical form (q, r2_check)."""
-    from .refine import invert_refined, rebuild_sigma_tail, recover_q
-
     inner = full.inner
     n1 = full.p1.degree()
 
@@ -76,31 +72,20 @@ def regular_roundtrip(full: FullProblem, K: int, n_x_forward: int = 1024,
 
     # the b_N2 recovery presumes a nonzero p2
     b_est = None if full.p2.is_zero else estimate_bN2(m1_fn, n1)
-    t0 = time.perf_counter()
-    sd = forward_spectral_data(inner, K, n_x_forward)
-    t1 = time.perf_counter()
-    ref = invert_refined(sd, K=K, n_x=n_x_inverse)
-    t2 = time.perf_counter()
-    q, qdiag = recover_q(ref.sigma, ref.x_grid, K)
-    sigma_fixed, sig_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
-    report = {
-        "K": K,
-        "t_forward": t1 - t0,
-        "t_invert": t2 - t1,
+    reg, report = _timed_roundtrip(inner, K, n_x_forward,
+                                   lambda sd: invert_regular(sd, K=K, n_x=n_x_inverse))
+    report.update({
         "bN2_estimate": b_est,
         "bN2_true": complex(full.p2.coeffs[-1]),
-        "sigma_l2_error": sigma_l2_error(ref.x_grid, sigma_fixed, inner.sigma),
-        "r1_coeff_error": coeff_error(ref.r1, inner.r1.coeffs),
-        "r2_coeff_error": coeff_error(ref.r2, inner.r2.coeffs),
-        "q_values": q,
-        "sigma_values": sigma_fixed,
-        "sigma_pi": sig_pi,
-        "r2_check": check_r2_shift(ref.r2, ref.r1, sig_pi),
-        "x_grid": ref.x_grid,
-        "result": ref,
-        "diagnostics": {**ref.diagnostics, **qdiag},
-    }
-    if ref.base.m1 == 0:
-        report["b0"] = complex(ref.r2.coeffs[0])
-        report["b0_check"] = complex(ref.r2.coeffs[0] - sig_pi)
+        "q_values": reg.q,
+        "sigma_values": reg.sigma,
+        "sigma_pi": reg.sigma_pi,
+        "r2_check": reg.r2_check,
+        "x_grid": reg.x_grid,
+        "result": reg,
+        "diagnostics": {**reg.diagnostics, **reg.q_diagnostics},
+    })
+    if reg.base.m1 == 0:
+        report["b0"] = complex(reg.r2.coeffs[0])
+        report["b0_check"] = complex(reg.r2.coeffs[0] - reg.sigma_pi)
     return report

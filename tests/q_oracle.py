@@ -6,7 +6,13 @@ and the public kernels alone, without the index tables of
 """
 import numpy as np
 
-from isturm import ModelData, SpectralData, kernel_D, kernel_D_derivs
+from isturm import ModelData, SpectralData, kernel_D
+from isturm.model import kernel_D_derivs_batch
+
+
+def kernel_D_derivs(x, lam, mu, j_lam: int, j_mu: int) -> complex:
+    """(1/j_lam!)(1/j_mu!) d^j_lam_lam d^j_mu_mu D(x, lam, mu), one entry."""
+    return complex(kernel_D_derivs_batch(x, [lam], [j_lam], [mu], [j_mu])[0])
 
 
 def _family_view(sd: SpectralData):
@@ -51,6 +57,6 @@ def q_coefficients(sd: SpectralData, md: ModelData, x: float,
         if jn == 0 and jp == jk:
             dval = kernel_D(x, lam_n, lam_k)
         else:
-            dval = kernel_D_derivs(x, lam_n, lam_k, j_lam=jn, j_mu=jp - jk)
+            dval = kernel_D_derivs(x, lam_n, lam_k, jn, jp - jk)
         total += a * dval
     return complex(total)

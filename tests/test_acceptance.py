@@ -12,18 +12,20 @@ from scipy.optimize import fsolve
 from isturm import (ContourSpec, ModelData, Polynomial, ProblemL, SigmaStep,
                     SigmaZero, char_delta, choose_contour, find_eigenvalues,
                     forward_spectral_data, invert_spectral_data, kernel_D,
-                    kernel_D_derivs, regular_roundtrip, sigma_l2_error,
-                    sigma_l2_norm, solve_on_grid, weight_numbers)
+                    regular_roundtrip, sigma_l2_error, sigma_l2_norm, solve_on_grid,
+                    weight_numbers)
+from isturm._util import phi_model_dx
 from isturm.maineq import MainEquationContext, build_system
 from isturm.model import EPS_D_BASE
 from isturm.problem import FullProblem, SigmaPolynomialInX
-from isturm.reconstruct import (_pole_sums_r, r1_contour_quadrature,
+from isturm.reconstruct import (_DATA, _residue_sum, r1_contour_quadrature,
                                 r1_contour_residue, r2_contour_quadrature,
                                 r2_contour_residue, reconstruct_r1,
                                 reconstruct_r2, reconstruct_sigma,
                                 sigma_contour_quadrature, sigma_contour_residue)
 from isturm.spectral import SpectralData
 from isturm.verify import coeff_error, roundtrip
+from q_oracle import kernel_D_derivs
 
 PI = np.pi
 
@@ -237,7 +239,7 @@ def test_criterion_9_residue_vs_quadrature(poly60_inversion):
 def test_criterion_10_degree_reduction(poly60_inversion):
     prob, sd, md, ctx, table = poly60_inversion
     lam_n1 = md.spectral_data(60).lam[1:]  # n = 2..60 > M1
-    E, _ = _pole_sums_r(table, lam_n1, None)
+    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_n1)
     worst = float(np.max(np.abs(1.0 - E)))
     contour = choose_contour(ctx)
     _, diag = reconstruct_r1(table, contour)
@@ -305,7 +307,7 @@ def test_criterion_11_multiplicity_path():
     # with a data pole (the coincident terms are removable singularities)
     lam_n1 = md.spectral_data(K).lam
     clean = lam_n1[np.min(np.abs(lam_n1[:, None] - sd.lam[None, :]), axis=1) > 1e-6]
-    E, _ = _pole_sums_r(table, clean, None)
+    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=clean)
     worst10 = float(np.max(np.abs(1.0 - E)))
     ok = count_ok and worst9 < 1e-6 and worst10 < 1e-6
     _report("criterion 11 (multiplicity path)", ok,

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
                     SigmaZero, char_delta, find_eigenvalues, integrate_solution,
-                    phi_at, weight_numbers, weyl_M)
+                    weight_numbers, weyl_M)
 from isturm import forward
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
@@ -157,15 +157,6 @@ def test_propagate_lambda_blocks_are_independent():
     assert np.array_equal(Y[-1], y) and np.array_equal(YQ[-1], yq)
 
 
-@pytest.mark.parametrize("sigma", [SigmaStep(0.8, 1.3), SigmaPolynomialInX([0.5, -1.0j, 0.25])],
-                         ids=["step", "poly"])
-def test_integrate_solution_last_node_is_phi_at(sigma):
-    lam = 2.3 + 1j
-    tr = integrate_solution(sigma, lam, (1.0, 0.0), "ltr", 257)
-    y, yq = phi_at(sigma, lam, 257)
-    assert tr.y[-1] == y and tr.y_quasi[-1] == yq
-
-
 _unit = st.floats(-1.0, 1.0)
 _cplx = st.builds(complex, _unit, _unit)
 
@@ -190,21 +181,27 @@ def test_propagate_round_trip_is_identity(coeffs, lam, v0):
     assert err <= 1e-10 * cond * np.linalg.norm(v0)
 
 
+def _phi_at_pi(sigma, lam, n_x):
+    """phi(pi, lam), phi^[1](pi, lam) for phi(0) = 1, phi^[1](0) = 0."""
+    tr = integrate_solution(sigma, lam, (1.0, 0.0), "ltr", n_x)
+    return tr.y[-1], tr.y_quasi[-1]
+
+
 def test_phi_at_cos3():
-    y, yq = phi_at(SigmaZero(), 9.0, 512)
+    y, yq = _phi_at_pi(SigmaZero(), 9.0, 512)
     assert abs(y - np.cos(3 * PI)) < 1e-12
     assert abs(yq - (-3) * np.sin(3 * PI)) < 1e-10
 
 
 def test_phi_at_lambda_zero():
-    y, yq = phi_at(SigmaZero(), 0.0, 64)
+    y, yq = _phi_at_pi(SigmaZero(), 0.0, 64)
     assert abs(y - 1) < 1e-13 and abs(yq) < 1e-13
 
 
 def test_phi_at_self_convergence_sigma_x():
     # q = 1 via sigma = x: compare n_x against an 8x denser reference
-    coarse = phi_at(SigmaPolynomialInX([0, 1]), 0.0, 512)
-    fine = phi_at(SigmaPolynomialInX([0, 1]), 0.0, 4096)
+    coarse = _phi_at_pi(SigmaPolynomialInX([0, 1]), 0.0, 512)
+    fine = _phi_at_pi(SigmaPolynomialInX([0, 1]), 0.0, 4096)
     assert abs(coarse[0] - fine[0]) < 5e-9
     assert abs(coarse[1] - fine[1]) < 5e-9
 

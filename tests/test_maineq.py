@@ -289,17 +289,3 @@ def test_condition_bounded_in_K(step_sd40):
         conds.append(np.max(table.cond))
     assert max(conds) < 50
     assert max(conds) / min(conds) < 5
-
-
-def test_dump_system(tmp_path):
-    import json
-
-    from isturm.maineq import dump_system
-    md = ModelData(0)
-    sd = md.spectral_data(3)
-    sys = build_system(MainEquationContext(sd, md), 1.0)
-    psi, _, cond = solve_system(sys)
-    path = tmp_path / "dump.json"
-    dump_system(sys, psi, cond, path)
-    data = json.loads(path.read_text())
-    assert data["K"] == 3 and len(data["H"]) == 6

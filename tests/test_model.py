@@ -2,12 +2,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from isturm import ModelData, kernel_D, kernel_D_derivs, model_phi, model_phi_dx
-from isturm._util import cos_sqrt_taylor, sqrt_lambda
+from isturm import ModelData, kernel_D
+from isturm._util import cos_sqrt_taylor, phi_model, phi_model_dx, sqrt_lambda
 from isturm.errors import OrderTooHigh
-from isturm.model import EPS_D_BASE
+from isturm.model import EPS_D_BASE, kernel_D_derivs_batch
 from isturm.spectral import SpectralData
-from q_oracle import q_coefficients
+from q_oracle import kernel_D_derivs, q_coefficients
 
 PI = np.pi
 rng = np.random.default_rng(11)
@@ -21,9 +21,9 @@ def test_model_data_closed_forms():
 
 
 def test_model_phi_values():
-    assert abs(model_phi(PI, 4.0) - 1.0) < 1e-14          # cos 2 pi
-    assert abs(model_phi(PI / 3, 9.0) - (-1.0)) < 1e-14   # cos pi
-    assert abs(model_phi(PI, 0.0, j=1) - (-PI**2 / 2)) < 1e-12
+    assert abs(phi_model(0, PI, 4.0) - 1.0) < 1e-14          # cos 2 pi
+    assert abs(phi_model(0, PI / 3, 9.0) - (-1.0)) < 1e-14   # cos pi
+    assert abs(phi_model(1, PI, 0.0) - (-PI**2 / 2)) < 1e-12
 
 
 def test_model_phi_derivatives_vs_finite_difference():
@@ -33,9 +33,9 @@ def test_model_phi_derivatives_vs_finite_difference():
         h = 1e-5 * max(1, abs(lam0))
         f = lambda lam: np.cos(sqrt_lambda(lam) * x)
         fd1 = (f(lam0 + h) - f(lam0 - h)) / (2 * h)
-        assert abs(model_phi(x, lam0, j=1) - fd1) < 1e-6
+        assert abs(phi_model(1, x, lam0) - fd1) < 1e-6
         fd2 = (f(lam0 + h) - 2 * f(lam0) + f(lam0 - h)) / h**2 / 2
-        assert abs(model_phi(x, lam0, j=2) - fd2) < 1e-4
+        assert abs(phi_model(2, x, lam0) - fd2) < 1e-4
 
 
 def _c_reference(j, w):
@@ -63,8 +63,8 @@ def test_model_phi_dx_vs_finite_difference():
     lam = 2.4 - 0.7j
     for j in range(3):
         g = 1e-6
-        fd = (model_phi(1.2 + g, lam, j=j) - model_phi(1.2 - g, lam, j=j)) / (2 * g)
-        assert abs(model_phi_dx(1.2, lam, j=j) - fd) < 1e-7
+        fd = (phi_model(j, 1.2 + g, lam) - phi_model(j, 1.2 - g, lam)) / (2 * g)
+        assert abs(phi_model_dx(j, 1.2, lam) - fd) < 1e-7
 
 
 def test_kernel_D_orthogonality():
@@ -145,6 +145,25 @@ def test_kernel_D_derivs_order_cap():
         kernel_D_derivs(1.0, 1.0, 1.0, 4, 0)
 
 
+def test_kernel_D_derivs_batch_entry_independent_of_batch():
+    # each entry sizes its quadrature from its own |rho_lam| + |rho_mu|, so an
+    # entry computed alone equals its value in a batch whose other entries
+    # have a 10x-40x larger |rho|, or share its orders and its node count
+    x, lam, mu = 2.6, 2.0 + 0.5j, 3.0
+    alone = kernel_D_derivs_batch(x, [lam], [1], [mu], [0])[0]
+    for big in (30.0**2, 45.0**2 + 1j, 80.0**2):
+        batch = kernel_D_derivs_batch(x, [big, lam, 2.5, 7.0], [1, 1, 1, 0],
+                                      [big + 3, mu, 3.5, 9.0], [0, 0, 0, 1])
+        assert batch[1] == alone
+    lams = rng.uniform(-5, 3000, 40) + 1j * rng.uniform(-3, 3, 40)
+    mus = rng.uniform(-5, 3000, 40) + 1j * rng.uniform(-3, 3, 40)
+    jl, jm = rng.integers(0, 3, 40), rng.integers(0, 3, 40)
+    batch = kernel_D_derivs_batch(1.7, lams, jl, mus, jm)
+    for i in range(40):
+        sl = slice(i, i + 1)
+        assert kernel_D_derivs_batch(1.7, lams[sl], jl[sl], mus[sl], jm[sl])[0] == batch[i]
+
+
 def test_q_coefficients_model_all_zero():
     md = ModelData(1)
     sd = md.spectral_data(6)  # data identical to the model
@@ -215,5 +234,5 @@ def test_model_fixed_point_phi():
     md = ModelData(1)
     xs = np.linspace(0, PI, 33)
     for n in (3, 4, 5):
-        np.testing.assert_allclose(model_phi(xs, md.lambda_tilde(n)),
+        np.testing.assert_allclose(phi_model(0, xs, md.lambda_tilde(n)),
                                    np.cos((n - 2) * xs), atol=1e-14)

@@ -1,13 +1,17 @@
+import cmath
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from isturm import (Polynomial, ProblemL, SigmaGridSamples, SigmaPolynomialInX,
                     SigmaStep, SigmaZero, normalize_pair, poly_eval,
                     poly_gcd_degree, problem_from_json, problem_to_json)
+from isturm._util import canonical_dumps
 from isturm.errors import BothZero, NotCoprime
-from isturm.problem import FullProblem
+from isturm.problem import ZERO_RTOL, FullProblem
 
 rng = np.random.default_rng(20240817)
 
@@ -76,12 +80,57 @@ def test_normalize_pair_second_branch():
     np.testing.assert_allclose(r2.as_array(), [0, 1])
 
 
-def test_normalize_pair_idempotent():
-    r1, r2, _ = normalize_pair(Polynomial([2, 4]), Polynomial([6]))
-    r1b, r2b, _ = normalize_pair(r1, r2)
-    np.testing.assert_array_equal(r1.as_array(), r1b.as_array())
-    np.testing.assert_array_equal(r2.as_array(), r2b.as_array())
-    assert r1.coeffs[-1] == 1.0  # exactly
+def _normalized(r1, r2):
+    """normalize_pair's result, or the type of the error it raises."""
+    try:
+        return normalize_pair(r1, r2)
+    except (BothZero, NotCoprime) as exc:
+        return type(exc)
+
+
+_small_int = st.integers(-3, 3)
+_gauss_int_coeffs = st.lists(st.builds(complex, _small_int, _small_int), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(r1=_gauss_int_coeffs, r2=_gauss_int_coeffs,
+       scale=st.builds(lambda e, t: 10.0**e * cmath.exp(1j * t), st.floats(-12.0, 12.0),
+                       st.floats(0.0, 2 * np.pi)))
+def test_normalize_pair_idempotent(r1, r2, scale):
+    # normalizing twice changes no bit, and a common factor changes nothing
+    # beyond rounding (the boundary conditions are homogeneous)
+    r1, r2 = Polynomial(r1), Polynomial(r2)
+    base = _normalized(r1, r2)
+    scaled = _normalized(r1.scaled(scale), r2.scaled(scale))
+    if isinstance(base, type):
+        assert scaled is base
+        return
+    n1, n2, case = base
+    assert (n1 if case == "M1=M2" else n2).coeffs[-1] == 1.0  # exactly
+    m1, m2, case_m = normalize_pair(n1, n2)
+    assert case_m == case and m1 == n1 and m2 == n2
+    s1, s2, case_s = scaled
+    assert case_s == case
+    for a, b in ((n1, s1), (n2, s2)):
+        assert len(a.coeffs) == len(b.coeffs)
+        np.testing.assert_allclose(b.as_array(), a.as_array(), rtol=1e-13, atol=1e-13)
+
+
+_coeff = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+_float_coeffs = st.lists(_coeff, min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(p=_float_coeffs, q=_float_coeffs, pad=st.integers(0, 3))
+def test_polynomial_padded_arithmetic_and_trim(p, q, pad):
+    P, Q = Polynomial(p), Polynomial(q)
+    # trimming is idempotent, and trailing zeros are trimmed away
+    assert Polynomial(P.coeffs) == P
+    assert Polynomial(list(p) + [0.0] * pad) == P
+    # (p + q) - q is p to rounding, up to the relative deflation of the sum
+    scale = np.max(np.abs(P.as_array())) + np.max(np.abs(Q.as_array()))
+    err = np.max(np.abs(((P + Q) - Q - P).as_array()))
+    assert err <= ZERO_RTOL * scale + 1e-15 * scale
 
 
 def test_normalize_pair_errors():
@@ -114,13 +163,21 @@ def test_sigma_forms():
         SigmaGridSamples([1.0])
 
 
-def test_problem_json_roundtrip(tmp_path):
-    inner = ProblemL(SigmaStep(1 + 2j, 1.0), Polynomial([1j, 1]), Polynomial([2]))
-    full = FullProblem(Polynomial([0, 1]), Polynomial([1]), inner)
-    data = problem_to_json(full)
-    text = json.dumps(data)
+_sigma = st.one_of(st.just(SigmaZero()), st.builds(SigmaStep, _coeff, st.floats(0.01, 3.13)),
+                   st.builds(SigmaPolynomialInX, st.lists(_coeff, min_size=1, max_size=3)),
+                   st.builds(SigmaGridSamples, st.lists(_coeff, min_size=2, max_size=6)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sigma=_sigma, r1=_float_coeffs, r2=_float_coeffs, p1=_float_coeffs, p2=_float_coeffs)
+def test_problem_json_roundtrip(sigma, r1, r2, p1, p2):
+    # canonical problem.json text is a fixed point of load and dump
+    try:
+        full = FullProblem(Polynomial(p1), Polynomial(p2),
+                           ProblemL(sigma, Polynomial(r1), Polynomial(r2)))
+    except (BothZero, NotCoprime):
+        reject()
+    text = canonical_dumps(problem_to_json(full))
     back = problem_from_json(json.loads(text))
-    np.testing.assert_allclose(back.inner.r1.as_array(), inner.r1.as_array())
-    np.testing.assert_allclose(back.inner.r2.as_array(), inner.r2.as_array())
-    assert back.inner.sigma.kind == "step"
-    assert back.inner.sigma.height == 1 + 2j
+    assert canonical_dumps(problem_to_json(back)) == text
+    assert back.inner.sigma.kind == sigma.kind

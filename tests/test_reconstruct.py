@@ -206,9 +206,10 @@ def test_prefit_rational_vanishes_at_model_poles():
     lam = base.lam + 0.2 / np.arange(1, K + 1)
     sd = SpectralData.from_flat(lam, base.alpha)
     table = solve_on_grid(sd, md, K, n_x=65)
-    from isturm.reconstruct import _pole_sums_r
+    from isturm._util import phi_model_dx
+    from isturm.reconstruct import _DATA, _residue_sum
     lam_n1 = md.spectral_data(K).lam[1:12]
-    E, _ = _pole_sums_r(table, lam_n1, None)
+    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_n1)
     assert np.max(np.abs(1.0 - E)) < 1e-6
 
 
@@ -221,8 +222,9 @@ def test_fit_heldout_validation(poly_sd40):
     samples = default_lambda_samples(ctx, contour, count=24)
     r1, diag = reconstruct_r1(table, contour, lam_samples=samples[::2])
     held = samples[1::2]
-    from isturm.reconstruct import _g_factor, _pole_sums_r
-    E, _ = _pole_sums_r(table, held, None)
+    from isturm._util import phi_model_dx
+    from isturm.reconstruct import _DATA, _g_factor, _residue_sum
+    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=held)
     vals = _g_factor(ctx, held) * (1.0 - E)
     resid_held = np.max(np.abs(np.polyval(r1.as_array()[::-1], held) - vals)) \
         / max(np.max(np.abs(vals)), 1e-9)

@@ -3,9 +3,9 @@ import pytest
 from scipy.optimize import brentq
 
 from isturm import (FullProblem, ModelData, Polynomial, ProblemL,
-                    SigmaPolynomialInX, SigmaZero, build_p2, estimate_bN2,
-                    forward_spectral_data, robin_constants, solve_on_grid,
-                    weyl_M1)
+                    SigmaPolynomialInX, SigmaZero, choose_contour, estimate_bN2,
+                    forward_spectral_data, reconstruct_r2, reconstruct_sigma,
+                    solve_on_grid, weyl_M1)
 from isturm.errors import FitUnstable
 from isturm.refine import recover_q, smooth_grid
 from isturm.regular import check_r2_shift
@@ -37,22 +37,24 @@ def test_estimate_bN2_forward_oracle_bneg3():
     assert abs(b - (-3.0)) < 0.06
 
 
-def test_build_p2_cases():
-    np.testing.assert_allclose(build_p2([], 2.0).as_array(), [2])
-    np.testing.assert_allclose(build_p2([1, -1], 1.0).as_array(), [-1, 0, 1])
-    np.testing.assert_allclose(build_p2([2], 3.0).as_array(), [-6, 3])
-
-
 def test_check_r2_shift():
     r2c = check_r2_shift(Polynomial([1 + PI, 1]), Polynomial([1, 1]), PI)
     np.testing.assert_allclose(r2c.as_array(), [1, 1 - PI])
+
+
+def _robin_constants(table):
+    """(b0, b0_check): the boundary constant that reconstruct_r2 reports and
+    its classical form b0 - sigma(pi), for the M1 = 0 case."""
+    sigma = reconstruct_sigma(table)
+    b0 = reconstruct_r2(table, choose_contour(table.ctx), sigma)[1]["bc_constant"]
+    return b0, b0 - sigma.sigma_pi
 
 
 def test_robin_constants_model_zero():
     md = ModelData(0)
     sd = md.spectral_data(12)
     table = solve_on_grid(sd, md, 12, n_x=65)
-    b0, b0_check = robin_constants(table)
+    b0, b0_check = _robin_constants(table)
     assert abs(b0) < 1e-12 and abs(b0_check) < 1e-12
 
 
@@ -60,7 +62,7 @@ def test_robin_constants_roundtrip(robin_sd25):
     _, sd = robin_sd25
     md = ModelData(0)
     table = solve_on_grid(sd, md, 25, n_x=129)
-    b0, b0_check = robin_constants(table)
+    b0, b0_check = _robin_constants(table)
     assert abs(b0 - 1.0) < 5e-3
 
 

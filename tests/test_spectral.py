@@ -1,16 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from isturm import (FullProblem, Polynomial, ProblemL, SigmaZero, SpectralData,
-                    detect_M1, eval_partial_fraction, group_multiplicities,
-                    reduce_weyl, weyl_M, weyl_M1)
+from isturm import (Polynomial, ProblemL, SigmaStep, SpectralData, detect_M1,
+                    eval_partial_fraction, group_multiplicities, reduce_weyl, weyl_M,
+                    weyl_M1)
+from isturm._util import canonical_dumps, sqrt_lambda
 from isturm.errors import AmbiguousOffset, AtPole, DenominatorZero
 from isturm.model import ModelData
 from isturm.spectral import (EigenRecord, WeylPartialFraction,
                              spectral_data_from_json, spectral_data_to_json)
 
 PI = np.pi
-rng = np.random.default_rng(4)
 
 
 def test_group_multiplicities_model_pattern():
@@ -75,14 +79,25 @@ def test_reduce_weyl_rational():
         assert abs(got - lam / (lam - 1)) < 1e-12
 
 
-def test_reduce_weyl_forward_oracle(robin_sd25):
-    prob, _ = robin_sd25
-    p1, p2 = Polynomial([1]), Polynomial([0])
-    m1 = lambda lam: weyl_M1(prob, p1, p2, lam, 1024)
-    lams = rng.normal(scale=3, size=20) + 1j * (1 + np.abs(rng.normal(size=20)))
-    got = reduce_weyl(m1, p1, p2, lams)
-    want = weyl_M(prob, lams, 1024)
-    np.testing.assert_allclose(got, want, atol=1e-8)
+_unit = st.floats(-1.0, 1.0)
+_cplx = st.builds(complex, _unit, _unit)
+_STEP_ROBIN = ProblemL(SigmaStep(0.7, 1.1), Polynomial([1]), Polynomial([0.5]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(p1=st.lists(_cplx, min_size=1, max_size=2), p2=st.lists(_cplx, min_size=1, max_size=2),
+       lam=st.builds(complex, st.floats(-20.0, 60.0), st.floats(0.5, 5.0)), lower=st.booleans())
+def test_reduce_weyl_forward_oracle(p1, p2, lam, lower):
+    # reduce_weyl(weyl_M1) == weyl_M for any p1, p2 of degree <= 1 off the
+    # real axis; cases where p1 - p2 M cancels (a pole of M1) are skipped
+    lam = lam.conjugate() if lower else lam
+    p1, p2 = Polynomial(p1), Polynomial(p2)
+    want = weyl_M(_STEP_ROBIN, lam, 256)
+    a, b = p1(lam), p2(lam) * want
+    assume(abs(a) > 0.1 and abs(a - b) > 0.1 * (abs(a) + abs(b)))
+    got = reduce_weyl(lambda z: weyl_M1(_STEP_ROBIN, p1, p2, z, 256), p1, p2, lam)
+    assert isinstance(got, complex)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_reduce_weyl_inverse_moebius():
@@ -138,20 +153,44 @@ def test_partial_fraction_vs_weyl_M(robin_sd25):
     assert abs(got - want) < 5.0 / 4000 + 2e-3  # tail-bound scale
 
 
-def test_spectral_json_roundtrip():
-    md = ModelData(1)
-    sd = md.spectral_data(6)
-    data = spectral_data_to_json(sd)
-    back = spectral_data_from_json(data)
-    np.testing.assert_allclose(back.lam, sd.lam)
-    np.testing.assert_allclose(back.alpha, sd.alpha)
-    assert back.sizes == sd.sizes
-    assert back.m1 == 1
+@st.composite
+def _spectral_data(draw):
+    """SpectralData of 1..6 records 0.5 apart, multiplicities 1..3."""
+    base = draw(st.lists(st.integers(-20, 400), min_size=1, max_size=6, unique=True))
+    records = []
+    for n in base:
+        lam = complex(n + draw(st.floats(0.0, 0.5)), draw(st.floats(-3.0, 3.0)))
+        m = draw(st.integers(1, 3))
+        alphas = tuple(draw(st.lists(_cplx, min_size=m, max_size=m)))
+        records.append(EigenRecord(lam, complex(sqrt_lambda(lam)), m, alphas))
+    return SpectralData.from_records(records, m1=draw(st.one_of(st.none(), st.integers(0, 2))),
+                                     case=draw(st.sampled_from([None, "M1=M2", "M1=M2-1"])))
 
 
-def test_truncation_keeps_clusters():
-    md = ModelData(2)
-    sd = md.spectral_data(10)
-    with pytest.raises(ValueError):
-        sd.truncated(2)  # would split the triple cluster
-    assert sd.truncated(5).K == 5
+def _text(sd):
+    return canonical_dumps(spectral_data_to_json(sd))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sd=_spectral_data())
+def test_spectral_json_roundtrip(sd):
+    # canonical spectral_data.json text is a fixed point of load and dump
+    back = spectral_data_from_json(json.loads(_text(sd)))
+    assert _text(back) == _text(sd)
+    assert back.sizes == sd.sizes and np.array_equal(back.rho, sd.rho)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sd=_spectral_data(), data=st.data())
+def test_truncation_keeps_clusters(sd, data):
+    ends = [h + m for h, m in zip(sd.heads, sd.sizes)]
+    for K in range(1, sd.K + 1):
+        if K in ends:
+            assert sd.truncated(K).K == K
+        else:
+            with pytest.raises(ValueError):
+                sd.truncated(K)  # would split a cluster
+    # truncating twice is truncating once
+    a = data.draw(st.sampled_from(ends))
+    b = data.draw(st.sampled_from([e for e in ends if e <= a]))
+    assert _text(sd.truncated(a).truncated(b)) == _text(sd.truncated(b))
