@@ -51,19 +51,25 @@ def lam_batch(lam):
 _C_SERIES_TERMS = 16
 _C_SERIES_RADIUS = (0.5, 0.5, 0.5, 2.0, 2.0)
 
-# series coefficients (-1)^m C(m, j) / (2m)!, m = j .. j + 15, for j = 0..4
-_C_COEF = [[(-1) ** m * comb(m, j) / factorial(2 * m) for m in range(j, j + _C_SERIES_TERMS)]
-           for j in range(5)]
+# series coefficients (-1)^m C(m, j) / (2m)!, m = j .. j + 15, in row j = 0..4
+_C_COEF = np.array([[(-1) ** m * comb(m, j) / factorial(2 * m)
+                     for m in range(j, j + _C_SERIES_TERMS)] for j in range(5)])
+
+
+def _series_powers(w):
+    """w^0 .. w^15 on a new first axis, by repeated squaring."""
+    p = np.ones((_C_SERIES_TERMS,) + np.shape(w), dtype=complex)
+    for k in (1, 2, 4, 8):
+        p[k:2 * k] = p[:k] * w
+        w = w * w
+    return p
 
 
 def _c_series(j, w):
-    # sum_{m >= j} (-1)^m C(m, j) w^(m-j) / (2m)!
-    out = np.zeros_like(w)
-    term = np.ones_like(w)  # w^(m-j) running power
-    for c in _C_COEF[j]:
-        out = out + c * term
-        term = term * w
-    return out
+    # sum_{m >= j} (-1)^m C(m, j) w^(m-j) / (2m)! for an order j or a slice of
+    # orders, as one real matrix product on the re and im parts of the powers
+    p = _series_powers(w).reshape(_C_SERIES_TERMS, -1).view(float)
+    return (_C_COEF[j] @ p).view(complex).reshape(np.shape(_C_COEF[j])[:-1] + np.shape(w))
 
 
 def cos_sqrt_taylor(j, w):
@@ -86,7 +92,8 @@ def cos_sqrt_taylor(j, w):
         raise ValueError(f"cos_sqrt_taylor order {j} not implemented")
     small = np.abs(s) < _C_SERIES_RADIUS[j]
     out = np.where(small, 0, closed)
-    out[small] = _c_series(j, w[small])
+    if small.any():
+        out[small] = _c_series(j, w[small])
     return out
 
 
@@ -97,15 +104,25 @@ def phi_model(j, x, lam):
     return x ** (2 * j) * cos_sqrt_taylor(j, lam * x * x)
 
 
-def phi_model_dx(j, x, lam):
-    """x-derivative of phi_model(j, x, lam)."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=complex)
+def _phi_tower(top, x, lam):
+    """phi_model and phi_model_dx of orders 0..top, each (top + 1, len(lam)):
+    one series product for all orders where |lam x^2| <= 4 (16 terms exact
+    to rounding), cos_sqrt_taylor elsewhere."""
     u = lam * x * x
-    out = 2 * lam * (j + 1) * x ** (2 * j + 1) * cos_sqrt_taylor(j + 1, u)
-    if j > 0:
-        out = out + 2 * j * x ** (2 * j - 1) * cos_sqrt_taylor(j, u)
-    return out
+    c = np.empty((top + 2, len(u)), dtype=complex)
+    series = np.abs(u) <= 4.0
+    c[:, series] = _c_series(slice(top + 2), u[series])
+    if not series.all():
+        c[:, ~series] = [cos_sqrt_taylor(j, u[~series]) for j in range(top + 2)]
+    j = np.arange(top + 1)[:, None]
+    xj = x ** np.maximum(2 * j - 1, 0)  # 2 j x^(2j-1), with 0 for j = 0 also at x = 0
+    return x ** (2 * j) * c[:-1], 2 * lam * (j + 1) * x ** (2 * j + 1) * c[1:] + 2 * j * xj * c[:-1]
+
+
+def phi_model_dx(j, x, lam):
+    """x-derivative of phi_model(j, x, lam) at a scalar x."""
+    lam = np.asarray(lam, dtype=complex)
+    return _phi_tower(j, float(x), lam.ravel())[1][j].reshape(lam.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,13 @@ matrix come from the raw relation between phi and the model solution through
 
 which turns the conditionally convergent raw system into an absolutely
 bounded one.  The x-derivative of the solution obeys the differentiated
-system (E + H) psi' = psi_tilde' - H' psi, with H' available in closed form
-because d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu).
+system (E + H) psi' = psi_tilde' - H' psi.
+
+Each node reads one table: cos/sin(rho x) at the 2K poles and, at clustered
+poles, the towers phi_model/phi_model_dx.  The order-0 kernel is
+(rho S (x) C - C (x) rho S) times the x-free Cauchy matrix 1/(lam - mu);
+cluster entries take the (lam - mu) recurrence of model.py.  As
+d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu), H' is rank one.
 """
 from __future__ import annotations
 
@@ -21,9 +26,10 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import single_thread
-from ._util import phi_model, phi_model_dx
+from ._util import _phi_tower, sqrt_lambda
 from .errors import Singular
-from .model import ModelData, kernel_D, kernel_D_derivs_batch
+from .model import (EPS_D_BASE, RECURRENCE_SEPARATION, SERIES_RADIUS, ModelData,
+                    _kernel_D_recurrence, _kernel_D_series, kernel_D, kernel_D_derivs_batch)
 from .spectral import SpectralData
 
 PI = np.pi
@@ -53,165 +59,147 @@ class MainEquationSystem:
 
 
 class MainEquationContext:
-    """x-independent precomputation for one (data, model, K) triple."""
+    """x-independent precomputation for one (data, model, K) triple.  The 2K
+    poles of both families, end to end, are the columns of every kernel matrix
+    and the rows of the Q blocks; column k has the terms (k, dorder, alpha)
+    with alpha != 0 and is 'special' when one has dorder >= 1."""
 
     def __init__(self, sd: SpectralData, md: ModelData, K: int | None = None):
         K = sd.K if K is None else K
-        sd = sd.truncated(K)
-        self.sd = sd
-        self.md = md
-        self.K = K
-        mds = md.spectral_data(K)
-        self.mds = mds
+        sd, mds = sd.truncated(K), md.spectral_data(K)
+        self.sd, self.md, self.mds, self.K = sd, md, mds, K
         self.xi, self.chi = xi_chi(sd, md, K)
 
-        # per family and flat index: cluster order and size, the cluster's
-        # pole, and the column terms (k, dorder, alpha) of the principal part
-        # with alpha != 0, in (k, dorder) order; a column is 'special' when it
-        # has a term with dorder >= 1
-        self.fams = []
-        for fam_sd in (sd, mds):
-            head = np.repeat(fam_sd.heads, fam_sd.sizes)
-            term_k, term_dord, term_w = [], [], []
-            for h, m in zip(fam_sd.heads, fam_sd.sizes):
-                for jk in range(m):
-                    for jp in range(jk, m):
-                        a = complex(fam_sd.alpha[h + jp])
-                        if a != 0:
-                            term_k.append(h + jk)
-                            term_dord.append(jp - jk)
-                            term_w.append(a)
-            term_k = np.asarray(term_k, dtype=int)
-            term_dord = np.asarray(term_dord, dtype=int)
-            special = np.zeros(K, dtype=bool)
-            special[term_k[term_dord >= 1]] = True
-            self.fams.append({
-                "sd": fam_sd,
-                "order": np.arange(K) - head,
-                "size": np.repeat(fam_sd.sizes, fam_sd.sizes),
-                "lam_pt": fam_sd.lam[head],
-                "alpha_flat": fam_sd.alpha,
-                "term_k": term_k,
-                "term_dord": term_dord,
-                "term_w": np.asarray(term_w, dtype=complex),
-                "special": special,
-            })
+        fam_sds = (sd, mds)
+        heads = [np.repeat(f.heads, f.sizes) for f in fam_sds]
+        self.fams = [{"sd": f, "lam_pt": f.lam[h]} for f, h in zip(fam_sds, heads)]
+        self.lam = np.concatenate([f["lam_pt"] for f in self.fams])
+        self.rho = sqrt_lambda(self.lam)
+        self.alpha = np.concatenate([sd.alpha, mds.alpha])
+        self.order = np.concatenate([np.arange(K) - h for h in heads])
+        terms = [(off + h + jk, jp - jk, f.alpha[h + jp])
+                 for off, f in ((0, sd), (K, mds)) for h, m in zip(f.heads, f.sizes)
+                 for jk in range(m) for jp in range(jk, m) if f.alpha[h + jp] != 0]
+        self.term_k, self.term_dord = (np.array([t[i] for t in terms], dtype=int) for i in (0, 1))
+        self.term_w = np.array([t[2] for t in terms], dtype=complex)
+        self.special = np.isin(np.arange(2 * K), self.term_k[self.term_dord >= 1])
+        self.clustered = np.concatenate([np.repeat(f.sizes, f.sizes) for f in fam_sds]) > 1
+        self.top = int(max(self.order.max(), self.term_dord.max(initial=0)))
+        self._pole_rows = self._rows(self.lam, self.rho, self.order)
+        # rows where both families are simple, and their rho_0 +- rho_1
+        self.plain_rows = ~self.clustered[:K] & ~self.clustered[K:]
+        self.rho_pm = (sd.rho[:K] + mds.rho, sd.rho[:K] - mds.rho)
 
-        # rows where both families are simple: stable cosine-difference form
-        self.plain_rows = (self.fams[0]["size"] == 1) & (self.fams[1]["size"] == 1)
+    def _rows(self, lam_r, rho_r, order_r):
+        """x-free part of a kernel matrix: the Cauchy matrix 1/(lam_r - lam_k),
+        kernel_D's near pairs, and the general entries (rows of order >= 1 or
+        special columns), one per term of their column."""
+        dd = lam_r[:, None] - self.lam[None, :]
+        near = np.abs(dd) <= EPS_D_BASE * (1 + np.abs(lam_r))[:, None]
+        general = (order_r[:, None] >= 1) | self.special[None, :]
+        ns, t = np.nonzero(general[:, self.term_k])  # entry order, then term order
+        ks = self.term_k[t]
+        return {"lam": lam_r, "cauchy": 1.0 / np.where(near, 1.0, dd),
+                "near": np.nonzero(near), "general": general, "ns": ns, "ks": ks,
+                "a": order_r[ns], "b": self.term_dord[t], "w": self.term_w[t],
+                "sep": np.abs(dd[ns, ks]), "rsum": np.abs(rho_r[ns]) + np.abs(self.rho[ks]),
+                "big": np.maximum(np.abs(lam_r[ns]), np.abs(self.lam[ks]))}
 
-    # -- x-dependent pieces ------------------------------------------------
+    def _table(self, x: float):
+        """phi_model and phi_model_dx of orders 0..top at the 2K poles (orders
+        >= 1 only at clustered poles, zero elsewhere), and sin(rho x)."""
+        S = np.sin(self.rho * x)
+        T, dT = np.zeros((2, self.top + 1, 2 * self.K), dtype=complex)
+        T[0], dT[0] = np.cos(self.rho * x), -self.rho * S
+        if self.top:
+            c = self.clustered
+            T[1:, c], dT[1:, c] = (t[1:] for t in _phi_tower(self.top, x, self.lam[c]))
+        return T, dT, S
 
-    def phi_tilde(self, x: float):
-        """Model values phi~_{n,i}(x) and x-derivatives, both families, (K,) each."""
-        out = []
-        for fam in self.fams:
-            vals = np.empty(self.K, dtype=complex)
-            dvals = np.empty(self.K, dtype=complex)
-            for jorder in np.unique(fam["order"]):
-                sel = fam["order"] == jorder
-                vals[sel] = phi_model(int(jorder), x, fam["lam_pt"][sel])
-                dvals[sel] = phi_model_dx(int(jorder), x, fam["lam_pt"][sel])
-            out.append((vals, dvals))
-        return out
-
-    def g_vectors(self, x: float):
+    def g_vectors(self, x: float, table=None):
         """G_j[k] = sum of the column terms alpha phi_model(dorder, x, lam_k) of
         family j, so that d/dx of column k of block (i, j) is phi~_i(x) G_j[k]."""
-        Gs = []
-        for fam in self.fams:
-            G = np.zeros(self.K, dtype=complex)
-            for dord in np.unique(fam["term_dord"]):
-                sel = fam["term_dord"] == dord
-                ks = fam["term_k"][sel]
-                np.add.at(G, ks, fam["term_w"][sel] * phi_model(int(dord), x, fam["lam_pt"][ks]))
-            Gs.append(G)
-        return Gs
+        T = (self._table(x) if table is None else table)[0]
+        G = np.zeros(2 * self.K, dtype=complex)
+        np.add.at(G, self.term_k, self.term_w * T[self.term_dord, self.term_k])
+        return G[:self.K], G[self.K:]
 
-    def kernel_columns(self, x: float, lam_r, order_r):
-        """Cluster-corrected kernel matrices [B_0, B_1] against the poles of
-        both families: B_j[r, k] is the sum over the terms (dorder, alpha) of
-        column k of family j of alpha times
-        (1/order_r!)(1/dorder!) d^order_r_lam d^dorder_mu D(x, lam_r, lam_k).
+    def _kernel(self, x, rows, row_table, table):
+        """Cluster-corrected kernel matrix: entry (r, k) sums, over the terms of
+        column k, alpha (1/order_r!)(1/dorder!) d^order_r_lam d^dorder_mu D(x, lam_r, lam_k).
+        Near pairs take kernel_D; a general entry takes the recurrence at delta >=
+        RECURRENCE_SEPARATION, else the series in SERIES_RADIUS, else quadrature."""
+        (Tr, dTr), (T, dT, S) = row_table[:2], table
+        # kernel_D's product order: near the diagonal the difference cancels,
+        # and the entries round as kernel_D's quotient branch rounds them
+        D = (-dTr[0][:, None] * T[0][None, :]
+             - Tr[0][:, None] * self.rho[None, :] * S[None, :]) * rows["cauchy"]
+        nr, nk = rows["near"]
+        D[nr, nk] = kernel_D(x, rows["lam"][nr], self.lam[nk])
+        B = D * self.alpha[None, :]
+        ns, ks, a, b = rows["ns"], rows["ks"], rows["a"], rows["b"]
+        if ns.size:
+            vals = np.empty(ns.size, dtype=complex)
+            far = rows["sep"] * x * x >= RECURRENCE_SEPARATION * (1 + x * rows["rsum"])
+            small = ~far & (rows["big"] * x * x <= SERIES_RADIUS)
+            f, s, q = np.flatnonzero(far), np.flatnonzero(small), np.flatnonzero(~far & ~small)
+            vals[f] = _kernel_D_recurrence(Tr[:, ns[f]], dTr[:, ns[f]], T[:, ks[f]],
+                                           dT[:, ks[f]], rows["cauchy"][ns[f], ks[f]], a[f], b[f])
+            vals[s] = _kernel_D_series(x, rows["lam"][ns[s]], a[s], self.lam[ks[s]], b[s])
+            vals[q] = kernel_D_derivs_batch(x, rows["lam"][ns[q]], a[q], self.lam[ks[q]], b[q])
+            B[rows["general"]] = 0.0
+            np.add.at(B, (ns, ks), rows["w"] * vals)
+        return B
 
-        Entries in rows with order_r >= 1 or in special columns are that sum,
-        from one batched quadrature per family; the rest are
-        D(x, lam_r, lam_k) alpha_k, from one kernel_D call for both families."""
-        lam_r = np.asarray(lam_r, dtype=complex)
-        order_r = np.asarray(order_r, dtype=int)
-        K = self.K
-        D = kernel_D(x, lam_r[:, None], np.concatenate([f["lam_pt"] for f in self.fams])[None, :])
-        out = []
-        for j, fam in enumerate(self.fams):
-            B = D[:, j * K:(j + 1) * K] * fam["alpha_flat"][None, :]
-            general = (order_r[:, None] >= 1) | fam["special"][None, :]
-            if general.any():
-                # each general entry (r, k) with the terms of column k, in
-                # entry order, then term order
-                ns, ks = np.nonzero(general)
-                e, t = np.nonzero(ks[:, None] == fam["term_k"][None, :])
-                ns, ks = ns[e], ks[e]
-                vals = kernel_D_derivs_batch(x, lam_r[ns], order_r[ns],
-                                             fam["lam_pt"][ks], fam["term_dord"][t])
-                B[general] = 0.0
-                np.add.at(B, (ns, ks), fam["term_w"][t] * vals)
-            out.append(B)
-        return out
+    def kernel_columns(self, x: float, lam_r):
+        """Cluster-corrected kernel matrices [B_0, B_1] of the order-0 rows
+        lam_r against the poles of both families (see _kernel)."""
+        rho_r = sqrt_lambda(lam_r)
+        rows = self._rows(lam_r, rho_r, np.zeros(len(lam_r), dtype=int))
+        B = self._kernel(x, rows, (np.cos(rho_r * x)[None], -rho_r * np.sin(rho_r * x)[None]),
+                         self._table(x))
+        return [B[:, :self.K], B[:, self.K:]]
 
     def q_blocks(self, x: float):
-        """Q blocks and their x-derivatives at x, each (K, K)."""
-        Q = {}
-        for i, fam in enumerate(self.fams):
-            Q[(i, 0)], Q[(i, 1)] = self.kernel_columns(x, fam["lam_pt"], fam["order"])
-        (pt0, dpt0), (pt1, dpt1) = self.phi_tilde(x)
-        Gs = self.g_vectors(x)
-        dQ = {(i, j): frow[:, None] * Gs[j][None, :]
-              for i, frow in enumerate((pt0, pt1)) for j in (0, 1)}
-        return Q, dQ, (pt0, dpt0, pt1, dpt1)
+        """Q blocks at x, each (K, K), the vectors G_j of their x-derivatives
+        (d/dx Q_(i,j) = phi~_i G_j^T), and the model values phi~_i(x) with
+        their x-derivatives."""
+        table = self._table(x)
+        B = self._kernel(x, self._pole_rows, table, table)
+        K = self.K
+        Q = {(i, j): B[i * K:(i + 1) * K, j * K:(j + 1) * K] for i in (0, 1) for j in (0, 1)}
+        pole = np.arange(2 * K)
+        pt, dpt = table[0][self.order, pole], table[1][self.order, pole]
+        return Q, self.g_vectors(x, table), (pt[:K], dpt[:K], pt[K:], dpt[K:])
 
 
 def _transform(ctx: MainEquationContext, Qb):
     """[[chi, -chi], [0, 1]] Q [[xi, 1], [0, -1]] assembled interleaved."""
-    K = ctx.K
-    chi, xi = ctx.chi, ctx.xi
-    d00 = Qb[(0, 0)] - Qb[(1, 0)]
-    d01 = Qb[(0, 1)] - Qb[(1, 1)]
-    H = np.zeros((2 * K, 2 * K), dtype=complex)
-    H[0::2, 0::2] = chi[:, None] * d00 * xi[None, :]
-    H[0::2, 1::2] = chi[:, None] * (d00 - d01)
-    H[1::2, 0::2] = Qb[(1, 0)] * xi[None, :]
-    H[1::2, 1::2] = Qb[(1, 0)] - Qb[(1, 1)]
+    chi, xi = ctx.chi[:, None], ctx.xi[None, :]
+    d00, d01 = Qb[(0, 0)] - Qb[(1, 0)], Qb[(0, 1)] - Qb[(1, 1)]
+    H = np.empty((2 * ctx.K, 2 * ctx.K), dtype=complex)
+    H[0::2, 0::2], H[0::2, 1::2] = chi * d00 * xi, chi * (d00 - d01)
+    H[1::2, 0::2], H[1::2, 1::2] = Qb[(1, 0)] * xi, Qb[(1, 0)] - Qb[(1, 1)]
     return H
 
 
 def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
     """Assemble psi_tilde(x) and H(x) (plus x-derivatives) at one grid point
     for the context's (data, model, K) triple."""
-    K = ctx.K
-    Q, dQ, (pt0, dpt0, pt1, dpt1) = ctx.q_blocks(x)
-    H = _transform(ctx, Q)
-    dH = _transform(ctx, dQ)
-
-    psi = np.zeros(2 * K, dtype=complex)
-    dpsi = np.zeros(2 * K, dtype=complex)
-    diff = pt0 - pt1
-    ddiff = dpt0 - dpt1
+    Q, (G0, G1), (pt0, dpt0, pt1, dpt1) = ctx.q_blocks(x)
+    diff, ddiff = pt0 - pt1, dpt0 - dpt1
+    # cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2): avoids cancellation when
+    # the data pole sits close to its model partner
     pl = ctx.plain_rows
-    if np.any(pl):
-        # cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2): avoids cancellation when
-        # the data pole sits close to its model partner
-        rs = ctx.sd.rho[:K][pl] + ctx.mds.rho[pl]
-        rd = ctx.sd.rho[:K][pl] - ctx.mds.rho[pl]
-        diff = diff.copy()
-        ddiff = ddiff.copy()
-        diff[pl] = -2.0 * np.sin(rs * x / 2) * np.sin(rd * x / 2)
-        ddiff[pl] = -(rs * np.cos(rs * x / 2) * np.sin(rd * x / 2)
-                      + rd * np.sin(rs * x / 2) * np.cos(rd * x / 2))
-    psi[0::2] = ctx.chi * diff
-    psi[1::2] = pt1
-    dpsi[0::2] = ctx.chi * ddiff
-    dpsi[1::2] = dpt1
-    return MainEquationSystem(K=K, x=float(x), psi_tilde=psi, H=H,
+    rs, rd = (r[pl] for r in ctx.rho_pm)
+    diff[pl] = -2.0 * np.sin(rs * x / 2) * np.sin(rd * x / 2)
+    ddiff[pl] = -(rs * np.cos(rs * x / 2) * np.sin(rd * x / 2)
+                  + rd * np.sin(rs * x / 2) * np.cos(rd * x / 2))
+    psi = np.column_stack((ctx.chi * diff, pt1)).ravel()
+    dpsi = np.column_stack((ctx.chi * ddiff, dpt1)).ravel()
+    # dQ_(i,j) = phi~_i G_j^T, so the transform of dQ is one outer product
+    dH = np.outer(psi, np.column_stack((G0 * ctx.xi, G0 - G1)).ravel())
+    return MainEquationSystem(K=ctx.K, x=float(x), psi_tilde=psi, H=_transform(ctx, Q),
                               dpsi_tilde=dpsi, dH=dH)
 
 

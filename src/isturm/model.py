@@ -16,13 +16,18 @@ import functools
 
 import numpy as np
 
-from ._util import MAX_DERIV_ORDER, gauss_legendre, phi_model, sqrt_lambda
+from ._util import _C_COEF, MAX_DERIV_ORDER, _series_powers, gauss_legendre, phi_model, sqrt_lambda
 from .errors import MalformedInput, OrderTooHigh
 from .spectral import SpectralData
 
 PI = np.pi
 
 EPS_D_BASE = 1e-6  # |lam - mu| <= EPS_D_BASE (1 + |lam|) switches to the diagonal branch
+
+# _kernel_D_recurrence loses about 1/delta per order, delta = |lam - mu| x^2 /
+# (1 + x (|rho_lam| + |rho_mu|)); tests/test_model.py measures the threshold
+RECURRENCE_SEPARATION = 2.0
+SERIES_RADIUS = 9.0  # _kernel_D_series is exact to rounding for |lam x^2|, |mu x^2| <= 9
 
 
 class ModelData:
@@ -132,4 +137,34 @@ def kernel_D_derivs_batch(x, lams, j_lams, mus, j_mus):
         fl = phi_model(int(jl), t, np.repeat(lams[e], n))
         fm = phi_model(int(jm), t, np.repeat(mus[e], n))
         out[e] = np.add.reduceat(half * w_ref[node] * fl * fm, first)
+    return out
+
+
+def _kernel_D_recurrence(tl, dtl, tm, dtm, inv, j_lams, j_mus):
+    """The kernel derivatives of kernel_D_derivs_batch from the Taylor
+    coefficients of (lam - mu) D = phi(lam) phi'(mu) - phi'(lam) phi(mu):
+    (lam - mu) D_{a,b} = phi_a(lam) phi'_b(mu) - phi'_a(lam) phi_b(mu) - D_{a-1,b} + D_{a,b-1}.
+    tl, dtl hold phi_model, phi_model_dx by order (axis 0) at each entry's
+    lam, tm, dtm at its mu; inv = 1/(lam - mu)."""
+    # D[a + 1, b + 1] is D_{a,b}; the zero first row and column are D_{-1,b}, D_{a,-1}
+    n_a, n_b = int(j_lams.max(initial=0)) + 1, int(j_mus.max(initial=0)) + 1
+    D = np.zeros((n_a + 1, n_b + 1, len(inv)), dtype=complex)
+    for a, b in np.ndindex(n_a, n_b):
+        D[a + 1, b + 1] = (tl[a] * dtm[b] - dtl[a] * tm[b] - D[a, b + 1] + D[a + 1, b]) * inv
+    return D[j_lams + 1, j_mus + 1, np.arange(len(inv))]
+
+
+_SERIES_W = {ab: np.outer(*_C_COEF[list(ab)]) / (2 * (np.indices((16, 16)).sum(0) + sum(ab)) + 1)
+             for ab in np.ndindex(MAX_DERIV_ORDER + 1, MAX_DERIV_ORDER + 1)}
+
+
+def _kernel_D_series(x, lams, j_lams, mus, j_mus):
+    """The kernel derivatives of kernel_D_derivs_batch from the double series
+    x^(2a+2b+1) sum_{p,q} A_a[p] A_b[q] u^p v^q / (2(p+q+a+b) + 1) of the
+    integral of the towers, u = lam x^2, v = mu x^2, A_j the c_j coefficients."""
+    U, V = _series_powers(lams * x * x), _series_powers(mus * x * x)
+    out = np.empty(len(lams), dtype=complex)
+    for a, b in set(zip(j_lams.tolist(), j_mus.tolist())):
+        e = np.flatnonzero((j_lams == a) & (j_mus == b))
+        out[e] = x ** (2 * (a + b) + 1) * np.sum(U[:, e] * (_SERIES_W[a, b] @ V[:, e]), axis=0)
     return out

@@ -94,7 +94,7 @@ def phi_K_of_lambda(table: PhiTable, x: float, lam):
     """phi^K(x, lam) by the finite series around the model solution."""
     lam_s, shaped = lam_batch(lam)
     phi0, phi1, _, _ = _phi_values_at(table, x)
-    B0, B1 = table.ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
+    B0, B1 = table.ctx.kernel_columns(x, lam_s)
     return shaped(phi_model(0, x, lam_s) - (B0 @ phi0 - B1 @ phi1))
 
 
@@ -103,7 +103,7 @@ def dphi_K_dx(table: PhiTable, x: float, lam):
     coefficients and the table values, no numerical differencing."""
     lam_s, shaped = lam_batch(lam)
     phi0, phi1, dphi0, dphi1 = _phi_values_at(table, x)
-    B0, B1 = table.ctx.kernel_columns(x, lam_s, np.zeros(len(lam_s), dtype=int))
+    B0, B1 = table.ctx.kernel_columns(x, lam_s)
     # dB[i][s, k] = phi_model(x, lam_s) * G_i[k]
     G = table.ctx.g_vectors(x)
     f0 = phi_model(0, x, lam_s)

@@ -7,6 +7,7 @@ and the public kernels alone, without the index tables of
 import numpy as np
 
 from isturm import ModelData, SpectralData, kernel_D
+from isturm._util import phi_model
 from isturm.model import kernel_D_derivs_batch
 
 
@@ -29,13 +30,16 @@ def _family_view(sd: SpectralData):
 
 
 def q_coefficients(sd: SpectralData, md: ModelData, x: float,
-                   n: int, i: int, k: int, j: int) -> complex:
-    """Coefficient Q_{n,i;k,j}(x) of the infinite linear relation.
+                   n: int, i: int, k: int, j: int, deriv: bool = False) -> complex:
+    """Coefficient Q_{n,i;k,j}(x) of the infinite linear relation, or with
+    deriv its x-derivative.
 
     n, k are 1-based flattened indices within the truncation; i selects the
     family of the evaluation point (0 data, 1 model) and j the family of the
     pole.  For a simple pole this is alpha_{kj} D(x, lam_{ni}, lam_{kj});
-    clusters add the principal-part derivative terms.
+    clusters add the principal-part derivative terms.  The x-derivative of
+    each kernel derivative D_{a,b}(x, lam, mu), an integral over [0, x], is
+    phi_model(a, x, lam) phi_model(b, x, mu).
     """
     K = sd.K
     assert 1 <= n <= K and 1 <= k <= K and i in (0, 1) and j in (0, 1), (n, i, k, j)
@@ -54,7 +58,9 @@ def q_coefficients(sd: SpectralData, md: ModelData, x: float,
         a = complex(sd_j.alpha[h_k + jp])
         if a == 0:
             continue
-        if jn == 0 and jp == jk:
+        if deriv:
+            dval = phi_model(jn, x, lam_n) * phi_model(jp - jk, x, lam_k)
+        elif jn == 0 and jp == jk:
             dval = kernel_D(x, lam_n, lam_k)
         else:
             dval = kernel_D_derivs(x, lam_n, lam_k, jn, jp - jk)

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isturm import maineq
 from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, build_system,
@@ -10,7 +12,9 @@ from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, build_system,
                     solve_system, xi_chi)
 from isturm._blas import openblas_handles
 from isturm.errors import Singular
+from isturm._util import sqrt_lambda
 from isturm.maineq import MainEquationContext, solve_at_x
+from isturm.model import RECURRENCE_SEPARATION
 from isturm.spectral import SpectralData
 from q_oracle import q_coefficients
 
@@ -56,6 +60,60 @@ def test_build_system_matches_hand_assembly():
             ])
             got = sys.H[2 * n - 2:2 * n, 2 * k - 2:2 * k]
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _hand_assembly(sd, md, x, deriv=False):
+    """H (dH with deriv) entry by entry from q_coefficients and the transform."""
+    K = sd.K
+    xi, chi = xi_chi(sd, md)
+    Q = {(n, i, k, j): q_coefficients(sd, md, x, n + 1, i, k + 1, j, deriv=deriv)
+         for n in range(K) for i in (0, 1) for k in range(K) for j in (0, 1)}
+    H = np.empty((2 * K, 2 * K), dtype=complex)
+    for n, k in np.ndindex(K, K):
+        d0 = Q[n, 0, k, 0] - Q[n, 1, k, 0]
+        d1 = Q[n, 0, k, 1] - Q[n, 1, k, 1]
+        H[2 * n:2 * n + 2, 2 * k:2 * k + 2] = [
+            [chi[n] * d0 * xi[k], chi[n] * (d0 - d1)],
+            [Q[n, 1, k, 0] * xi[k], Q[n, 1, k, 0] - Q[n, 1, k, 1]]]
+    return H
+
+
+def _separated(c, x, delta):
+    """A point mu above c with |mu - c| x^2 / (1 + x (|rho_c| + |rho_mu|)) = delta."""
+    s = 1.0
+    for _ in range(60):
+        s = delta * (1 + x * (abs(sqrt_lambda(c)) + abs(sqrt_lambda(c + s)))) / x**2
+    return c + s
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(K=st.integers(3, 8), M1=st.integers(0, 2), m=st.integers(1, 3),
+       c=st.complex_numbers(max_magnitude=1.0), x=st.floats(1e-3, PI),
+       straddle=st.floats(0.5, 2.0),
+       shifts=st.lists(st.floats(0.05, 0.5), min_size=8, max_size=8))
+def test_build_system_matches_hand_assembly_property(K, M1, m, c, x, straddle, shifts):
+    # data: a size-m cluster at c, then every pole shifted off its model
+    # partner, weights at least 0.1 from the model's (so chi <= 10), and one
+    # pole at separation straddle * RECURRENCE_SEPARATION from the cluster
+    # point (or from the model's zero cluster) at this x, where it stays within 30
+    md = ModelData(M1)
+    base = md.spectral_data(K)
+    lam = base.lam + np.asarray(shifts[:K]) + 0.01 * np.arange(K)
+    alpha = np.full(K, 2 / PI + 0.1, dtype=complex)
+    lam[:m] = c
+    alpha[:m] = [0.9 + 0.1j, 0.2 - 0.25j, 0.05 + 0.03j][:m]
+    if m < K:
+        pt = c if m > 1 else 0.0
+        mu = _separated(pt, x, straddle * RECURRENCE_SEPARATION)
+        if abs(mu - pt) <= 30:
+            lam[m] = mu
+    sd = SpectralData.from_flat(lam, alpha)
+    assert sd.sizes[0] == m
+    sys = build_system(MainEquationContext(sd, md), x)
+    np.testing.assert_allclose(sys.H, _hand_assembly(sd, md, x), atol=1e-12)
+    np.testing.assert_allclose(sys.dH, _hand_assembly(sd, md, x, deriv=True), atol=1e-12)
+    sv = np.linalg.svd(sys.dH, compute_uv=False)
+    assert sv[1] <= 1e-14 * sv[0]
 
 
 @pytest.mark.parametrize("x", [0.7, 2.6])

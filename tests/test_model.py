@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from isturm import ModelData, kernel_D
-from isturm._util import cos_sqrt_taylor, phi_model, phi_model_dx, sqrt_lambda
+from isturm._util import (_phi_tower, cos_sqrt_taylor, gauss_legendre, phi_model, phi_model_dx,
+                          sqrt_lambda)
 from isturm.errors import OrderTooHigh
-from isturm.model import EPS_D_BASE, kernel_D_derivs_batch
+from isturm.model import (EPS_D_BASE, RECURRENCE_SEPARATION, SERIES_RADIUS, _kernel_D_recurrence,
+                          _kernel_D_series, kernel_D_derivs_batch)
 from isturm.spectral import SpectralData
 from q_oracle import kernel_D_derivs, q_coefficients
 
@@ -236,3 +238,50 @@ def test_model_fixed_point_phi():
     for n in (3, 4, 5):
         np.testing.assert_allclose(phi_model(0, xs, md.lambda_tilde(n)),
                                    np.cos((n - 2) * xs), atol=1e-14)
+
+
+def _norm(j, x, lam):
+    """L2(0, x) norm of phi_model(j, ., lam)."""
+    t, w = gauss_legendre(400)
+    return np.sqrt(x / 2 * np.sum(w * np.abs(phi_model(j, x / 2 * (t + 1), lam)) ** 2))
+
+
+def _worst_error(method, x, lam, mu):
+    """Largest error of method against kernel_D_derivs_batch over the orders
+    a, b <= 2 of clusters, relative to ||phi_a(lam)|| ||phi_b(mu)|| on [0, x]."""
+    a, b = (o.ravel() for o in np.indices((3, 3)))
+    got = method(x, np.full(9, lam, dtype=complex), a, np.full(9, mu, dtype=complex), b)
+    want = kernel_D_derivs_batch(x, np.full(9, lam), a, np.full(9, mu), b)
+    return max(abs(g - w) / (_norm(i, x, lam) * _norm(j, x, mu))
+               for g, w, i, j in zip(got, want, a, b))
+
+
+def _recurrence(x, lams, a, mus, b):
+    (tl, dtl), (tm, dtm) = _phi_tower(2, x, lams), _phi_tower(2, x, mus)
+    return _kernel_D_recurrence(tl, dtl, tm, dtm, 1 / (lams - mus), a, b)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.7, PI])
+def test_recurrence_threshold(x):
+    # the top pole of a K = 60 spectrum against a point below it at
+    # delta = |lam - mu| x^2 / (1 + x (|rho_lam| + |rho_mu|)): at the threshold
+    # the recurrence meets 1e-13; a quarter of it loses more than 5e-13, so
+    # the threshold is not loose by a factor of four
+    lam = 3600.0
+
+    def mu_at(delta):
+        s = 1.0
+        for _ in range(60):
+            s = delta * (1 + x * (60 + np.sqrt(lam - s))) / x**2
+        return lam - s
+
+    assert _worst_error(_recurrence, x, lam, mu_at(RECURRENCE_SEPARATION)) <= 1e-13
+    assert _worst_error(_recurrence, x, lam, mu_at(RECURRENCE_SEPARATION / 4)) > 5e-13
+
+
+def test_kernel_series_matches_quadrature():
+    # near pairs inside SERIES_RADIUS, the same point included
+    r = np.sqrt(SERIES_RADIUS)
+    for x, lam, mu in [(0.01, 0.0, 5e4), (0.3, 0.3 + 0.5j, 0.3 + 0.5j), (PI, 0.0, 0.9),
+                       (2.0, -2.0 + 0.1j, -2.0), (1.0, r**2 * 1j, -r**2)]:
+        assert _worst_error(_kernel_D_series, x, lam, mu) <= 1e-13
