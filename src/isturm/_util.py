@@ -1,5 +1,5 @@
-"""Shared numerics: square-root branch, entire-function towers, quadrature
-nodes, canonical JSON.
+"""Shared numerics: square-root branch, entire-function towers, canonical
+JSON.
 
 The spectral parameter enters everything through rho = sqrt(lambda) with the
 branch fixed to arg rho in [-pi/2, pi/2).  Model quantities reduce to the
@@ -42,18 +42,24 @@ def lam_batch(lam):
 
 # ---------------------------------------------------------------------------
 # Taylor tower of cos(sqrt(w)):  c_j(w) = (1/j!) (d/dw)^j cos(sqrt(w)).
-# Closed forms in s = sqrt(w) are even in s; a series branch covers a disk
-# |s| < r_j.  The closed form of c_j loses about |s|^(-2j) to cancellation
-# (at |s| = 1/2: 1e-13 relative for j = 3, 1e-11 for j = 4), so r_j is 1/2 for
-# j <= 2 and 2 for j = 3, 4, where 16 series terms are still exact to rounding.
-# c_j' = (j+1) c_{j+1}.
+# Closed forms in s = sqrt(w) are even in s and lose about |s|^(-2j) to
+# cancellation, so a 16-term series covers |w| <= 4, where it is exact to
+# rounding for every order.  c_j' = (j+1) c_{j+1}.
 
 _C_SERIES_TERMS = 16
-_C_SERIES_RADIUS = (0.5, 0.5, 0.5, 2.0, 2.0)
 
 # series coefficients (-1)^m C(m, j) / (2m)!, m = j .. j + 15, in row j = 0..4
 _C_COEF = np.array([[(-1) ** m * comb(m, j) / factorial(2 * m)
                      for m in range(j, j + _C_SERIES_TERMS)] for j in range(5)])
+
+# closed forms of c_0 .. c_4 in s, sin s, cos s
+_C_CLOSED = (
+    lambda s, sn, cs: cs,
+    lambda s, sn, cs: -sn / (2 * s),
+    lambda s, sn, cs: (sn - s * cs) / (8 * s**3),
+    lambda s, sn, cs: ((s * s - 3) * sn + 3 * s * cs) / (48 * s**5),
+    lambda s, sn, cs: ((15 - 6 * s * s) * sn + s * (s * s - 15) * cs) / (384 * s**7),
+)
 
 
 def _series_powers(w):
@@ -73,27 +79,17 @@ def _c_series(j, w):
 
 
 def cos_sqrt_taylor(j, w):
-    """c_j(w) for 0 <= j <= 4; w complex array."""
+    """c_j(w) for an order 0 <= j <= 4, or for a slice of orders stacked on a
+    new first axis; w complex array.  The series where |w| <= 4, the closed
+    forms elsewhere."""
     w = np.asarray(w, dtype=complex)
-    s = np.sqrt(w)  # branch-irrelevant: formulas below are even in s
-    ssafe = np.where(np.abs(s) < 1e-300, 1.0, s)
+    out = np.empty(np.shape(_C_COEF[j])[:-1] + w.shape, dtype=complex)
+    series = np.abs(w) <= 4.0
+    out[..., series] = _c_series(j, w[series])
+    s = np.sqrt(w[~series])  # branch-irrelevant: the closed forms are even in s
     sn, cs = np.sin(s), np.cos(s)
-    if j == 0:
-        closed = cs
-    elif j == 1:
-        closed = -sn / (2 * ssafe)
-    elif j == 2:
-        closed = (sn - s * cs) / (8 * ssafe**3)
-    elif j == 3:
-        closed = ((s * s - 3) * sn + 3 * s * cs) / (48 * ssafe**5)
-    elif j == 4:
-        closed = ((15 - 6 * s * s) * sn + s * (s * s - 15) * cs) / (384 * ssafe**7)
-    else:
-        raise ValueError(f"cos_sqrt_taylor order {j} not implemented")
-    small = np.abs(s) < _C_SERIES_RADIUS[j]
-    out = np.where(small, 0, closed)
-    if small.any():
-        out[small] = _c_series(j, w[small])
+    f = _C_CLOSED[j]
+    out[..., ~series] = [g(s, sn, cs) for g in f] if isinstance(j, slice) else f(s, sn, cs)
     return out
 
 
@@ -105,15 +101,8 @@ def phi_model(j, x, lam):
 
 
 def _phi_tower(top, x, lam):
-    """phi_model and phi_model_dx of orders 0..top, each (top + 1, len(lam)):
-    one series product for all orders where |lam x^2| <= 4 (16 terms exact
-    to rounding), cos_sqrt_taylor elsewhere."""
-    u = lam * x * x
-    c = np.empty((top + 2, len(u)), dtype=complex)
-    series = np.abs(u) <= 4.0
-    c[:, series] = _c_series(slice(top + 2), u[series])
-    if not series.all():
-        c[:, ~series] = [cos_sqrt_taylor(j, u[~series]) for j in range(top + 2)]
+    """phi_model and phi_model_dx of orders 0..top, each (top + 1, len(lam))."""
+    c = cos_sqrt_taylor(slice(top + 2), lam * x * x)
     j = np.arange(top + 1)[:, None]
     xj = x ** np.maximum(2 * j - 1, 0)  # 2 j x^(2j-1), with 0 for j = 0 also at x = 0
     return x ** (2 * j) * c[:-1], 2 * lam * (j + 1) * x ** (2 * j + 1) * c[1:] + 2 * j * xj * c[:-1]
@@ -123,18 +112,6 @@ def phi_model_dx(j, x, lam):
     """x-derivative of phi_model(j, x, lam) at a scalar x."""
     lam = np.asarray(lam, dtype=complex)
     return _phi_tower(j, float(x), lam.ravel())[1][j].reshape(lam.shape)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre nodes, cached.
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_legendre(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,13 @@ system (E + H) psi' = psi_tilde' - H' psi.
 
 Each node reads one table: cos/sin(rho x) at the 2K poles and, at clustered
 poles, the towers phi_model/phi_model_dx.  The order-0 kernel is
-(rho S (x) C - C (x) rho S) times the x-free Cauchy matrix 1/(lam - mu);
-cluster entries take the (lam - mu) recurrence of model.py.  As
-d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu), H' is rank one.
+(rho S (x) C - C (x) rho S) times the x-free Cauchy matrix 1/(lam - mu),
+except at the near pairs |lam - mu| <= EPS_D_BASE (1 + |rho_lam| + |rho_mu|)^2,
+where that product cancels and kernel_D's closed form is taken; cluster
+entries take the (lam - mu) recurrence of model.py.  As
+d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu), H' = psi_tilde v^T
+is rank one; the system carries v, and one LU solve with two right-hand sides
+gives psi and psi'.
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ class MainEquationSystem:
     psi_tilde: np.ndarray       # (2K,), interleaved (n, i)
     H: np.ndarray               # (2K, 2K)
     dpsi_tilde: np.ndarray      # x-derivatives, same layout
-    dH: np.ndarray
+    v: np.ndarray               # (2K,), H' = psi_tilde v^T
 
 
 class MainEquationContext:
@@ -72,8 +76,7 @@ class MainEquationContext:
 
         fam_sds = (sd, mds)
         heads = [np.repeat(f.heads, f.sizes) for f in fam_sds]
-        self.fams = [{"sd": f, "lam_pt": f.lam[h]} for f, h in zip(fam_sds, heads)]
-        self.lam = np.concatenate([f["lam_pt"] for f in self.fams])
+        self.lam = np.concatenate([f.lam[h] for f, h in zip(fam_sds, heads)])
         self.rho = sqrt_lambda(self.lam)
         self.alpha = np.concatenate([sd.alpha, mds.alpha])
         self.order = np.concatenate([np.arange(K) - h for h in heads])
@@ -86,20 +89,25 @@ class MainEquationContext:
         self.clustered = np.concatenate([np.repeat(f.sizes, f.sizes) for f in fam_sds]) > 1
         self.top = int(max(self.order.max(), self.term_dord.max(initial=0)))
         self._pole_rows = self._rows(self.lam, self.rho, self.order)
-        # rows where both families are simple, and their rho_0 +- rho_1
+        # rows where both families are simple, and their rho_0 +- rho_1; as
+        # rho_1 >= 0 and Re rho_0 >= 0, |rho_0 + rho_1| >= |rho_0 - rho_1|,
+        # and the difference is formed without cancellation
         self.plain_rows = ~self.clustered[:K] & ~self.clustered[K:]
-        self.rho_pm = (sd.rho[:K] + mds.rho, sd.rho[:K] - mds.rho)
+        rs = sd.rho + mds.rho
+        self.rho_pm = (rs, (sd.lam - mds.lam) / np.where(rs == 0, 1.0, rs))
 
     def _rows(self, lam_r, rho_r, order_r):
-        """x-free part of a kernel matrix: the Cauchy matrix 1/(lam_r - lam_k),
-        kernel_D's near pairs, and the general entries (rows of order >= 1 or
-        special columns), one per term of their column."""
+        """x-free part of a kernel matrix: the Cauchy matrix 1/(lam_r - lam_k)
+        (1 at lam_r = lam_k), the near pairs |lam_r - lam_k| <= EPS_D_BASE
+        (1 + |rho_r| + |rho_k|)^2 where its product with the table cancels,
+        and the general entries (rows of order >= 1 or special columns), one
+        per term of their column."""
         dd = lam_r[:, None] - self.lam[None, :]
-        near = np.abs(dd) <= EPS_D_BASE * (1 + np.abs(lam_r))[:, None]
+        near = np.abs(dd) <= EPS_D_BASE * (1 + np.abs(rho_r)[:, None] + np.abs(self.rho)) ** 2
         general = (order_r[:, None] >= 1) | self.special[None, :]
         ns, t = np.nonzero(general[:, self.term_k])  # entry order, then term order
         ks = self.term_k[t]
-        return {"lam": lam_r, "cauchy": 1.0 / np.where(near, 1.0, dd),
+        return {"lam": lam_r, "cauchy": 1.0 / np.where(dd == 0, 1.0, dd),
                 "near": np.nonzero(near), "general": general, "ns": ns, "ks": ks,
                 "a": order_r[ns], "b": self.term_dord[t], "w": self.term_w[t],
                 "sep": np.abs(dd[ns, ks]), "rsum": np.abs(rho_r[ns]) + np.abs(self.rho[ks]),
@@ -130,8 +138,6 @@ class MainEquationContext:
         Near pairs take kernel_D; a general entry takes the recurrence at delta >=
         RECURRENCE_SEPARATION, else the series in SERIES_RADIUS, else quadrature."""
         (Tr, dTr), (T, dT, S) = row_table[:2], table
-        # kernel_D's product order: near the diagonal the difference cancels,
-        # and the entries round as kernel_D's quotient branch rounds them
         D = (-dTr[0][:, None] * T[0][None, :]
              - Tr[0][:, None] * self.rho[None, :] * S[None, :]) * rows["cauchy"]
         nr, nk = rows["near"]
@@ -197,14 +203,18 @@ def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
                   + rd * np.sin(rs * x / 2) * np.cos(rd * x / 2))
     psi = np.column_stack((ctx.chi * diff, pt1)).ravel()
     dpsi = np.column_stack((ctx.chi * ddiff, dpt1)).ravel()
-    # dQ_(i,j) = phi~_i G_j^T, so the transform of dQ is one outer product
-    dH = np.outer(psi, np.column_stack((G0 * ctx.xi, G0 - G1)).ravel())
+    # dQ_(i,j) = phi~_i G_j^T, so the transform of dQ is psi_tilde v^T
+    v = np.column_stack((G0 * ctx.xi, G0 - G1)).ravel()
     return MainEquationSystem(K=ctx.K, x=float(x), psi_tilde=psi, H=_transform(ctx, Q),
-                              dpsi_tilde=dpsi, dH=dH)
+                              dpsi_tilde=dpsi, v=v)
 
 
 def solve_system(system: MainEquationSystem):
     """Solve (E + H) psi = psi_tilde; returns (psi, dpsi, condition estimate).
+
+    One LU solve with the right-hand sides psi_tilde and psi_tilde' gives psi
+    and y = (E + H)^-1 psi_tilde'; as H' = psi_tilde v^T, the differentiated
+    system (E + H) dpsi = psi_tilde' - H' psi has dpsi = y - (v . psi) psi.
 
     The condition number is LAPACK's 1-norm estimate from the LU factors
     (zgecon: Hager's method as refined by Higham), a lower bound on the exact
@@ -219,7 +229,8 @@ def solve_system(system: MainEquationSystem):
     cond = float(1.0 / rcond) if rcond > 0 else np.inf  # rcond may be nan
     if cond > COND_LIMIT:
         raise Singular(f"main-equation matrix condition {cond:.3g} at x={system.x:.4f}")
-    psi = scipy.linalg.lu_solve((lu, piv), system.psi_tilde, check_finite=False)
+    rhs = np.column_stack((system.psi_tilde, system.dpsi_tilde))
+    psi, y = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False).T
     resid = np.max(np.abs(A @ psi - system.psi_tilde))
     scale = max(np.max(np.abs(system.psi_tilde)), 1e-30)
     if resid > 1e-10 * scale:
@@ -228,9 +239,7 @@ def solve_system(system: MainEquationSystem):
         resid = np.max(np.abs(A @ psi - system.psi_tilde))
         if resid > 1e-10 * scale:
             raise Singular(f"residual {resid:.3g} did not meet tolerance at x={system.x:.4f}")
-    rhs = system.dpsi_tilde - system.dH @ psi
-    dpsi = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return psi, dpsi, cond
+    return psi, y - (system.v @ psi) * psi, cond
 
 
 def recover_phi(psi: np.ndarray, xi: np.ndarray):

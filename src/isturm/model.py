@@ -6,8 +6,10 @@ has eigenvalues (n - M1 - 1)^2 padded with an (M1+1)-fold zero, weight numbers
 
     D(x, lam, mu) = <phi(x, lam), phi(x, mu)> / (lam - mu)
                   = int_0^x cos(sqrt(lam) t) cos(sqrt(mu) t) dt
+                  = (x/2) [sinc((rho_lam + rho_mu) x) + sinc((rho_lam - rho_mu) x)]
 
-carries the whole inverse machinery; principal-part coefficients of
+carries the whole inverse machinery; kernel_D evaluates the last form, which
+has no cancellation at lam = mu; principal-part coefficients of
 D(x, lam, mu) * (Weyl difference)(mu) give the system coefficients Q.
 """
 from __future__ import annotations
@@ -16,13 +18,17 @@ import functools
 
 import numpy as np
 
-from ._util import _C_COEF, MAX_DERIV_ORDER, _series_powers, gauss_legendre, phi_model, sqrt_lambda
+from ._util import _C_COEF, MAX_DERIV_ORDER, _series_powers, phi_model, sqrt_lambda
 from .errors import MalformedInput, OrderTooHigh
 from .spectral import SpectralData
 
 PI = np.pi
 
-EPS_D_BASE = 1e-6  # |lam - mu| <= EPS_D_BASE (1 + |lam|) switches to the diagonal branch
+# the Cauchy product N(x, lam, mu) / (lam - mu) of the main equation loses
+# about eps (1 + |rho_lam| + |rho_mu|)^2 / |lam - mu| relative; inside
+# |lam - mu| <= EPS_D_BASE (1 + |rho_lam| + |rho_mu|)^2 it takes kernel_D
+# instead (tests/test_model.py measures the threshold)
+EPS_D_BASE = 1e-3
 
 # _kernel_D_recurrence loses about 1/delta per order, delta = |lam - mu| x^2 /
 # (1 + x (|rho_lam| + |rho_mu|)); tests/test_model.py measures the threshold
@@ -59,36 +65,26 @@ class ModelData:
 
 
 def kernel_D(x, lam, mu):
-    """D(x, lam, mu), quotient branch away from the diagonal, first-order
-    Taylor around the diagonal inside |lam - mu| <= 1e-6 (1 + |lam|).
+    """D(x, lam, mu) = (x/2) [sinc(p x) + sinc(m x)], p, m = rho_lam +- rho_mu.
 
-    The square roots, sines and cosines run on the unbroadcast inputs, so an
-    outer call kernel_D(x, lam[:, None], mu[None, :]) costs O(n + m)
-    transcendentals; only the products and the branch choice are (n, m)."""
-    lam = np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
-    rl = np.asarray(sqrt_lambda(lam))
-    rm = np.asarray(sqrt_lambda(mu))
-    dd = lam - mu
-    small = np.abs(dd) <= EPS_D_BASE * (1 + np.abs(lam))
-    num = rl * np.sin(rl * x) * np.cos(rm * x) - rm * np.cos(rl * x) * np.sin(rm * x)
-    far = num / np.where(small, 1.0, dd)
-
-    u = 2 * rl * x
-    au = np.abs(u)
-    sinc_u = np.where(au < 1e-8, 1 - u * u / 6, np.sin(u) / np.where(au < 1e-300, 1.0, u))
-    d_diag = x / 2 + (x / 2) * sinc_u
-    # d/dmu D at mu = lam: (2 rho x cos 2rho x - sin 2rho x) / (16 rho^3)
-    dmu_diag = np.where(
-        au < 1e-3,
-        -x**3 / 6 * (1 - u * u / 10),
-        (u * np.cos(u) - np.sin(u)) / np.where(np.abs(rl) < 1e-300, 1.0, 16 * rl**3),
-    )
-    near = d_diag + (mu - lam) * dmu_diag
-    out = np.where(small, near, far)
+    Of p and m, the one of larger modulus is formed directly and the other as
+    (lam - mu) / larger, so neither cancels near the diagonal; larger = 0 only
+    at lam = mu = 0.  The square roots run on the unbroadcast inputs; the sines
+    are (n, m) in an outer call kernel_D(x, lam[:, None], mu[None, :])."""
+    lam, mu = np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex)
+    rl, rm = sqrt_lambda(lam), sqrt_lambda(mu)
+    p, m = rl + rm, rl - rm
+    big = np.where(np.abs(p) >= np.abs(m), p, m)
+    small = (lam - mu) / np.where(big == 0, 1.0, big)
+    out = (x / 2) * (_sinc(big * x) + _sinc(small * x))
     if out.shape == ():
         return complex(out)
     return out
+
+
+def _sinc(z):
+    """sin(z) / z, 1 at z = 0."""
+    return np.where(z == 0, 1.0, np.sin(z) / np.where(z == 0, 1.0, z))
 
 
 # Gauss-Legendre node counts of kernel_D_derivs_batch, about sqrt(2) apart
@@ -99,7 +95,7 @@ _NODE_LADDER = np.array([24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 700])
 def _ladder_rules():
     """Nodes and weights on [-1, 1] of every _NODE_LADDER rule, end to end,
     and the offset of each rule."""
-    t, w = zip(*(gauss_legendre(int(n)) for n in _NODE_LADDER))
+    t, w = zip(*(np.polynomial.legendre.leggauss(int(n)) for n in _NODE_LADDER))
     return np.concatenate(t), np.concatenate(w), np.cumsum(_NODE_LADDER) - _NODE_LADDER
 
 

@@ -137,7 +137,7 @@ def _residue_sum(ctx: MainEquationContext, fams, tower, x, values, lam=None,
     """
     total = 0j
     for fam, sign in fams:
-        fam_sd = ctx.fams[fam]["sd"]
+        fam_sd = (ctx.sd, ctx.mds)[fam]
         for h, m in zip(fam_sd.heads, fam_sd.sizes):
             lam_h, alphas = complex(fam_sd.lam[h]), fam_sd.alpha[h:h + m]
             if abs(lam_h) >= radius:
@@ -195,8 +195,7 @@ def reconstruct_sigma(table: PhiTable) -> SigmaResult:
 def _g_factor(ctx: MainEquationContext, lam_s: np.ndarray) -> np.ndarray:
     """prod_{k<=M1} (lam - lam_k0) * prod_{M1<k<=K} (lam - lam_k0)/(lam - lam_k1)."""
     M1 = ctx.md.M1
-    lam0 = ctx.fams[0]["lam_pt"]
-    lam1 = ctx.fams[1]["lam_pt"]
+    lam0, lam1 = ctx.lam[:ctx.K], ctx.lam[ctx.K:]
     out = np.ones_like(lam_s)
     for k in range(ctx.K):
         out = out * (lam_s - lam0[k])
@@ -217,8 +216,7 @@ def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
                            count: int = 16) -> np.ndarray:
     """Chebyshev nodes on a real interval past the contour, lifted off the
     real axis; kept at distance >= 0.5 from every pole and outside the circle."""
-    lams = np.concatenate([ctx.fams[0]["lam_pt"], ctx.fams[1]["lam_pt"]])
-    inside = lams[np.abs(lams) < contour.radius]
+    inside = ctx.lam[np.abs(ctx.lam) < contour.radius]
     lo = max((np.max(np.abs(inside)) if len(inside) else 0.0) + 5.0,
              contour.radius + 2.0)
     hi = lo + 20.0
@@ -226,7 +224,7 @@ def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
     t = np.cos(PI * (np.arange(count) + 0.5) / count)
     pts = (lo + hi) / 2 + (hi - lo) / 2 * t + 0.5j
     for _ in range(4):
-        dmin = np.min(np.abs(pts[:, None] - lams[None, :]), axis=1)
+        dmin = np.min(np.abs(pts[:, None] - ctx.lam[None, :]), axis=1)
         if np.all(dmin >= 0.5):
             break
         pts = pts + 0.35j

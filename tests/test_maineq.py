@@ -63,7 +63,7 @@ def test_build_system_matches_hand_assembly():
 
 
 def _hand_assembly(sd, md, x, deriv=False):
-    """H (dH with deriv) entry by entry from q_coefficients and the transform."""
+    """H (H' with deriv) entry by entry from q_coefficients and the transform."""
     K = sd.K
     xi, chi = xi_chi(sd, md)
     Q = {(n, i, k, j): q_coefficients(sd, md, x, n + 1, i, k + 1, j, deriv=deriv)
@@ -111,8 +111,9 @@ def test_build_system_matches_hand_assembly_property(K, M1, m, c, x, straddle, s
     assert sd.sizes[0] == m
     sys = build_system(MainEquationContext(sd, md), x)
     np.testing.assert_allclose(sys.H, _hand_assembly(sd, md, x), atol=1e-12)
-    np.testing.assert_allclose(sys.dH, _hand_assembly(sd, md, x, deriv=True), atol=1e-12)
-    sv = np.linalg.svd(sys.dH, compute_uv=False)
+    dH = _hand_assembly(sd, md, x, deriv=True)
+    np.testing.assert_allclose(np.outer(sys.psi_tilde, sys.v), dH, atol=1e-12)
+    sv = np.linalg.svd(dH, compute_uv=False)
     assert sv[1] <= 1e-14 * sv[0]
 
 
@@ -188,13 +189,30 @@ def test_solve_system_vs_lu_oracle():
     assert resid <= 1e-10 * max(np.max(np.abs(sys.psi_tilde)), 1e-30)
 
 
+def test_solve_system_dpsi_vs_explicit_solve():
+    # psi' from the rank-one update against a solve of the differentiated
+    # system (E + H) psi' = psi_tilde' - H' psi with H' assembled entry by
+    # entry, on simple data and on an off-axis double cluster against M1 = 1
+    md = ModelData(1)
+    base = md.spectral_data(8)
+    lam, alpha = base.lam.copy(), base.alpha.copy()
+    lam[:2] = 0.3 + 0.5j
+    alpha[:2] = [0.9 + 0.1j, 0.2 - 0.25j]
+    for (sd, md), x in [(_perturbed_data(5), 1.3), ((SpectralData.from_flat(lam, alpha), md), 2.6)]:
+        sys = build_system(MainEquationContext(sd, md), x)
+        psi, dpsi, _ = solve_system(sys)
+        rhs = sys.dpsi_tilde - _hand_assembly(sd, md, x, deriv=True) @ psi
+        want = np.linalg.solve(np.eye(2 * sd.K) + sys.H, rhs)
+        np.testing.assert_allclose(dpsi, want, atol=1e-12)
+
+
 def test_solve_system_singular_raises():
     md = ModelData(0)
     sd = md.spectral_data(2)
     sys = build_system(MainEquationContext(sd, md), 0.9)
     bad = sys.__class__(K=sys.K, x=sys.x, psi_tilde=sys.psi_tilde,
                         H=-np.eye(4) + 1e-15 * sys.H,
-                        dpsi_tilde=sys.dpsi_tilde, dH=sys.dH)
+                        dpsi_tilde=sys.dpsi_tilde, v=sys.v)
     # E + H is exactly zero here: the zero pivot is a Singular, with no SciPy
     # LinAlgWarning on the way
     with warnings.catch_warnings():

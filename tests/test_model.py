@@ -2,10 +2,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from isturm import ModelData, kernel_D
-from isturm._util import (_phi_tower, cos_sqrt_taylor, gauss_legendre, phi_model, phi_model_dx,
-                          sqrt_lambda)
+from isturm import ModelData, kernel_D, maineq
+from isturm._util import _phi_tower, cos_sqrt_taylor, phi_model, phi_model_dx, sqrt_lambda
 from isturm.errors import OrderTooHigh
+from isturm.maineq import MainEquationContext
 from isturm.model import (EPS_D_BASE, RECURRENCE_SEPARATION, SERIES_RADIUS, _kernel_D_recurrence,
                           _kernel_D_series, kernel_D_derivs_batch)
 from isturm.spectral import SpectralData
@@ -96,25 +96,26 @@ def test_kernel_D_symmetry():
 
 
 def test_kernel_D_branch_consistency():
-    # far-quotient and near-Taylor branches agree across the switch zone
+    # the main equation's two branches, kernel_D inside its near rule and the
+    # quotient N / (lam - mu) outside it, agree across the switch
     x, lam = 2.1, 5.0
-    eps = EPS_D_BASE * (1 + abs(lam))
+    eps = EPS_D_BASE * (1 + 2 * np.sqrt(lam)) ** 2
     for d in (0.5 * eps, 2.0 * eps):
         mu = lam + d
         quotient = ((np.sqrt(lam) * np.sin(np.sqrt(lam) * x) * np.cos(np.sqrt(mu) * x)
                      - np.sqrt(mu) * np.cos(np.sqrt(lam) * x) * np.sin(np.sqrt(mu) * x))
                     / (lam - mu))
-        assert abs(kernel_D(x, lam, mu) - quotient) < 1e-9
+        assert abs(kernel_D(x, lam, mu) - quotient) < 1e-12
 
 
 def test_kernel_D_outer_call_matches_broadcast_call():
-    # an outer call takes its transcendentals on the vectors; it must agree
-    # bit for bit with the same call on fully broadcast (n, m) inputs, on both
-    # sides of the diagonal switch
+    # an outer call takes its square roots on the vectors; it must agree bit
+    # for bit with the same call on fully broadcast (n, m) inputs, diagonal,
+    # near-diagonal and zero pairs included
     lam = np.concatenate([np.arange(8.0) ** 2, [0.0, -2.5, 3.1 + 0.4j],
                           rng.normal(scale=30, size=5) + 1j * rng.normal(size=5)])
     mu = np.concatenate([lam, lam[:6] + 1e-9, [1e-9, 49.0 - 2e-9j]])
-    assert np.sum(np.abs(lam[:, None] - mu[None, :]) <= EPS_D_BASE) > len(lam)
+    assert np.sum(np.abs(lam[:, None] - mu[None, :]) <= 1e-6) > len(lam)
     for x in (0.0, 0.37, 1.3, PI):
         outer = kernel_D(x, lam[:, None], mu[None, :])
         full = kernel_D(x, *np.broadcast_arrays(lam[:, None], mu[None, :]))
@@ -124,6 +125,66 @@ def test_kernel_D_outer_call_matches_broadcast_call():
         # scalar and vector loops may round differently in the last bits
         loop = np.array([[kernel_D(x, a, b) for b in mu] for a in lam])
         np.testing.assert_allclose(outer, loop, rtol=1e-13, atol=1e-300)
+
+
+def _mp_kernel_D(x, lam, mu):
+    """D(x, lam, mu) = (x/2) [sinc((rho_lam + rho_mu) x) + sinc((rho_lam - rho_mu) x)]
+    in 40-digit arithmetic; D is even in each rho, so the branch is irrelevant."""
+    with mpmath.workdps(40):
+        rl, rm = (mpmath.sqrt(mpmath.mpc(complex(z))) for z in (lam, mu))
+        x = mpmath.mpf(float(x))
+        return complex(x / 2 * (mpmath.sinc((rl + rm) * x) + mpmath.sinc((rl - rm) * x)))
+
+
+def test_kernel_D_vs_mpmath():
+    # pole pairs of a K = 160 spectrum at and around |lam - mu| = 1e-6 (1 + lam),
+    # where the quotient N / (lam - mu) cancels and a first-order Taylor
+    # expansion in mu - lam is off by up to 1e-8; also lam = mu = 0 and a
+    # conjugate pair off the real axis
+    pairs = [(lam, lam + f * 1e-6 * (1 + lam))
+             for lam in (100.0, 3600.0, 25600.0) for f in (0, 0.5, 0.99, 1.01, 3)]
+    pairs += [(0.0, 0.0), (-9 + 0.5j, -9 - 0.5j)]
+    for x in (0.05, 1.7, PI):
+        for lam, mu in pairs:
+            want = _mp_kernel_D(x, lam, mu)
+            assert abs(kernel_D(x, lam, mu) - want) <= 1e-14 * abs(want), (x, lam, mu)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.7, PI])
+def test_near_rule_threshold(x, monkeypatch):
+    # order-0 main-equation entries of rows lam at |lam - mu| = c (1 + |rho_lam|
+    # + |rho_mu|)^2 from the poles mu = 100, 3600, 25600 of a K = 161 model
+    # spectrum, relative to ||phi(lam)|| ||phi(mu)|| on [0, x]: just outside
+    # the near rule (c = EPS_D_BASE) the Cauchy product meets 1e-13, and so do
+    # the near pairs at c = EPS_D_BASE / 4; with the rule off, the product
+    # loses more than 2e-13 there, so the rule is not loose by a factor of four
+    md = ModelData(0)
+    ctx = MainEquationContext(md.spectral_data(161), md)
+    ks = np.array([10, 60, 160])
+
+    def rows_at(c):
+        lam, mu = [], []
+        for k in ks:
+            for f in (1.02, -1.02, 1.1, -1.1, 1.25, -1.25, 1.5, -1.5):
+                s = 1.0
+                for _ in range(60):
+                    s = c * abs(f) * (1 + k + abs(sqrt_lambda(k**2 + np.sign(f) * s))) ** 2
+                lam.append(k**2 + np.sign(f) * s)
+                mu.append(k**2)
+        return np.array(lam, dtype=complex), np.array(mu)
+
+    def worst(lam, mu):
+        # column k of the data block is alpha_k D(x, lam, lam_k), alpha_k = 2 / pi
+        got = ctx.kernel_columns(x, lam)[0][np.arange(len(lam)), np.repeat(ks, 8)] * PI / 2
+        return max(abs(g - _mp_kernel_D(x, a, b))
+                   / np.sqrt(abs(_mp_kernel_D(x, a, a) * _mp_kernel_D(x, b, b)))
+                   for g, a, b in zip(got, lam, mu))
+
+    outside, quarter = rows_at(EPS_D_BASE), rows_at(EPS_D_BASE / 4)
+    assert worst(*outside) <= 1e-13
+    assert worst(*quarter) <= 1e-13
+    monkeypatch.setattr(maineq, "EPS_D_BASE", 0.0)
+    assert worst(*quarter) > 2e-13
 
 
 def test_kernel_D_derivs_order_zero_matches():
@@ -242,7 +303,7 @@ def test_model_fixed_point_phi():
 
 def _norm(j, x, lam):
     """L2(0, x) norm of phi_model(j, ., lam)."""
-    t, w = gauss_legendre(400)
+    t, w = np.polynomial.legendre.leggauss(400)
     return np.sqrt(x / 2 * np.sum(w * np.abs(phi_model(j, x / 2 * (t + 1), lam)) ** 2))
 
 

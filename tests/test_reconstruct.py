@@ -250,8 +250,7 @@ def test_lambda_samples_off_poles(poly_sd40):
     spec = choose_contour(ctx)
     pts = default_lambda_samples(ctx, spec)
     assert len(pts) >= 2 * md.M1 + 2
-    lams = np.concatenate([ctx.fams[0]["lam_pt"], ctx.fams[1]["lam_pt"]])
-    assert np.min(np.abs(pts[:, None] - lams[None, :])) >= 0.5
+    assert np.min(np.abs(pts[:, None] - ctx.lam[None, :])) >= 0.5
     assert np.all(np.abs(pts) > spec.radius)
 
 
