@@ -52,10 +52,6 @@ def _int_at_least(low):
     return convert
 
 
-def _contour_index(text):
-    return None if text == "auto" else _int_at_least(1)(text)
-
-
 def _tolerances(cfg) -> dict:
     """DEFAULT_TOL updated by the config's optional 'tolerances' object."""
     tol = cfg.get("tolerances", {})
@@ -91,7 +87,7 @@ def cmd_forward(args) -> int:
 def cmd_invert(args) -> int:
     sd = spectral_data_from_json(read_json(args.config))
     invert = invert_regular if args.regular else invert_spectral_data
-    out = invert(sd, K=args.K, n_x=args.nx, N=args.N)
+    out = invert(sd, K=args.K, n_x=args.nx)
     res = out.base if args.regular else out
     payload = _reconstruction_json(out)
     if args.regular:
@@ -139,7 +135,6 @@ _FLAGS = {
     "--M1": dict(type=_int_at_least(0), default=0, help="model degree index"),
     "--K": dict(type=_int_at_least(1), default=40, help="truncation size"),
     "--nx": dict(type=_int_at_least(33), default=1024, help="grid size"),
-    "--N": dict(type=_contour_index, default=None, help="contour index or 'auto'"),
     "--regular": dict(action="store_true",
                       help="defect-corrected inversion for a regular potential"),
     "--diag": dict(default=None,
@@ -156,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("forward", cmd_forward, "problem.json -> spectral_data.json",
          "spectral_data.json", ("--config", "--K", "--nx")),
         ("invert", cmd_invert, "spectral_data.json -> reconstruction.json",
-         "reconstruction.json", ("--config", "--K", "--nx", "--N", "--regular", "--diag")),
+         "reconstruction.json", ("--config", "--K", "--nx", "--regular", "--diag")),
         ("roundtrip", cmd_roundtrip, "forward + invert + compare",
          None, ("--config", "--K", "--nx", "--regular")),
         ("model", cmd_model, "emit model spectral data",

@@ -146,13 +146,10 @@ def _propagate(sigma, lam, y0, yq0, mesh, record_at=None):
                         Y[rec_pos[i], cols], YQ[rec_pos[i], cols] = y, yq
             y_out[cols], yq_out[cols] = y, yq
 
-    if recording:
-        if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(YQ))):
-            raise NonFiniteState("integration overflow; |lambda| too large for step size")
-        return Y, YQ
-    if not (np.all(np.isfinite(y_out)) and np.all(np.isfinite(yq_out))):
+    out = (Y, YQ) if recording else (y_out, yq_out)
+    if not all(np.all(np.isfinite(v)) for v in out):
         raise NonFiniteState("integration overflow; |lambda| too large for step size")
-    return y_out, yq_out
+    return out
 
 
 def integrate_solution(sigma: SigmaFunction, lam, init, direction: str = "ltr",
@@ -300,6 +297,16 @@ def _circle_points(center, radius, n=96):
     return np.concatenate([center + radius * th, [center + radius]])
 
 
+def _winds_once(f, centers, radii):
+    """Mask of the circles on which f winds once (to 0.05), that is, which
+    hold exactly one simple root; all circles are traced in one batch."""
+    if not len(centers):
+        return np.zeros(0, dtype=bool)
+    traced = _winding_data(f, [_circle_points(c, r) for c, r in zip(centers, radii)])
+    return np.array([w is not None and abs((w[1][-1] - w[1][0]).imag / (2 * PI) - 1) < 0.05
+                     for w in traced])
+
+
 def _box_count(f, corners):
     return _contour_moments(f, _rect_points(corners), orders=0)[0]
 
@@ -331,12 +338,8 @@ def _subdivide_hunt(f, corners, count, depth=0, max_depth=60):
     if count == 0:
         return []
     a, b, c, d = corners
-    scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
-    if count == 1:
-        moms = _contour_moments(f, _rect_points(corners, n_side=96), orders=1)
-        return [[moms[1]]]
-    small = max(b - a, d - c) < 1e-5 * scale
-    if count <= 3 and small:
+    small = max(b - a, d - c) < 1e-5 * (1.0 + max(abs(a), abs(b), abs(c), abs(d)))
+    if count == 1 or (count <= 3 and small):
         moms = _contour_moments(f, _rect_points(corners, n_side=96), orders=count)
         return [_roots_from_moments(count, moms)]
     if depth >= max_depth:
@@ -437,14 +440,7 @@ def _analyze_group(f, group, merge_tol=1e-5):
         lam_sep = min(abs(roots[a] - roots[b])
                       for a in range(m) for b in range(a + 1, m))
         r_ver = max(lam_sep / 4.0, 1e-10 * (1 + abs(center)))
-        for z in roots:
-            try:
-                cnt = _contour_moments(f, _circle_points(z, r_ver), orders=0)[0]
-            except NoConvergence:
-                cnt = -1
-            if cnt != 1:
-                distinct = False
-                break
+        distinct = bool(_winds_once(f, roots, np.full(m, r_ver)).all())
     if distinct:
         polished, _ = _polish_simple(f, roots)
         return [(complex(z), 1) for z in polished]
@@ -452,13 +448,18 @@ def _analyze_group(f, group, merge_tol=1e-5):
     return [(center, m)]
 
 
-def _illinois(f, lo, hi, flo, fhi, rtol=1e-6, max_iter=60):
-    """Shrink real sign-change brackets in place to width rtol * max(1, |lam|)
-    by vectorised Illinois regula falsi (Dowell & Jarratt 1971): f is taken
+def _wide(lo, hi):
+    """Mask of the brackets wider than 4e-16 * max(1, |lam|), about rounding."""
+    return hi - lo > 4e-16 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+
+
+def _illinois(f, lo, hi, flo, fhi, max_iter=60):
+    """Shrink real sign-change brackets in place until none is _wide, by
+    vectorised Illinois regula falsi (Dowell & Jarratt 1971): f is taken
     only at the brackets still open, and an end kept twice has f halved."""
     kept = np.zeros(len(lo), dtype=int)  # +1: the last step kept hi, -1: lo
     for _ in range(max_iter):
-        op = np.flatnonzero(hi - lo > rtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+        op = np.flatnonzero(_wide(lo, hi))
         if not op.size:
             break
         x = np.clip(hi[op] - fhi[op] * (hi[op] - lo[op]) / (fhi[op] - flo[op]), lo[op], hi[op])
@@ -476,27 +477,14 @@ def _illinois(f, lo, hi, flo, fhi, rtol=1e-6, max_iter=60):
 
 
 def _real_roots(f, lam_grid):
-    """Real roots of f from the sign changes on lam_grid: Illinois brackets,
-    then the secant polish; a root the polish leaves its bracket for (or does
-    not converge) is bisected to rounding instead."""
+    """Real roots of f at the sign changes on lam_grid, each bracket closed
+    to rounding by _illinois alone.  A bracket still open after its
+    iterations is dropped, so the caller's count check sees the root missing."""
     vals = np.real(f(lam_grid))
     flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     lo, hi = lam_grid[flips], lam_grid[flips + 1]
-    flo, fhi = vals[flips], vals[flips + 1]
-    _illinois(lambda x: np.real(f(x)), lo, hi, flo, fhi)
-    z, done = _polish_simple(f, 0.5 * (lo + hi))
-    # the polish resolves a root to 1e-13 relative, so an end of the bracket
-    # that Illinois drove onto the root does not count as leaving it
-    tol = 1e-13 * (1 + np.abs(z))
-    out = np.flatnonzero(~done | (z.imag != 0) | (z.real < lo - tol) | (z.real > hi + tol))
-    lo, hi, flo = lo[out], hi[out], flo[out]
-    while np.any(hi - lo > 4e-16 * np.maximum(1.0, np.abs(hi))):
-        mid = 0.5 * (lo + hi)
-        vm = np.real(f(mid))
-        left = flo * vm <= 0
-        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, vm)
-    z[out] = 0.5 * (lo + hi)
-    return z
+    _illinois(lambda x: np.real(f(x)), lo, hi, vals[flips], vals[flips + 1])
+    return (0.5 * (lo + hi))[~_wide(lo, hi)]
 
 
 def _seeded_roots(f, master, total, K, shift, n0):
@@ -512,10 +500,7 @@ def _seeded_roots(f, master, total, K, shift, n0):
     radius = np.min([0.5 * gap.min(axis=1, initial=np.inf), z.real - (n - shift - 0.5) ** 2,
                      b - z.real, z.imag - c, d - z.imag], axis=0)
     ok &= radius > 1e-8 * (1 + np.abs(z))
-    if ok.any():
-        traced = _winding_data(f, [_circle_points(zc, rc) for zc, rc in zip(z[ok], radius[ok])])
-        ok[ok] = [w is not None and abs((w[1][-1] - w[1][0]).imag / (2 * PI) - 1) < 0.05
-                  for w in traced]
+    ok[ok] = _winds_once(f, z[ok], radius[ok])
     if not ok.all():
         n0 = n[~ok].max() + 1
     low = (a, min((n0 - shift - 0.5) ** 2, b), c, d)
@@ -530,13 +515,15 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     """First K eigenvalues (with multiplicity), ordered by the asymptotic
     numbering.
 
-    A real problem brackets the sign changes of Delta on a real grid,
-    narrows them by Illinois regula falsi and polishes by secant.  Otherwise,
-    or when that misses some of the K roots the master box count holds, the
-    roots from n0 = ceil(shift + 2) on are seeded from rho_n ~ n - shift,
-    polished and certified one by one, and the low zone left of them (with
-    any index whose certificate fails) is resolved by box subdivision; the
-    whole master box is subdivided when the counts do not add up."""
+    A real problem brackets the sign changes of Delta on a real grid and
+    closes each bracket to rounding by Illinois regula falsi alone.
+    Otherwise, or when that misses some of the K roots the master box count
+    holds (no sign change, or a bracket Illinois did not close), the roots
+    from n0 = ceil(shift + 2) on are seeded from rho_n ~ n - shift, polished
+    by secant and certified by one winding circle each, all in one batch,
+    and the low zone left of them (with any index whose certificate fails)
+    is resolved by box subdivision; the whole master box is subdivided when
+    the counts do not add up."""
     if K < prob.m1 + 2:
         raise MalformedInput("K must be at least M1 + 2")
     shift = _rho_shift(prob)
@@ -619,50 +606,38 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
 def weight_numbers(prob: ProblemL, eigs: list[EigenRecord],
                    n_x: int = 1024) -> list[EigenRecord]:
     """Fill principal-part coefficients alpha_{k+j} by circle quadrature of the
-    forward-computed Weyl function; simple real poles are cross-checked against
-    psi(0, lam)/Delta'(lam)."""
+    forward-computed Weyl function psi(0)/psi^[1](0), from one batch of circle
+    points.
+
+    Every simple pole is cross-checked against the residue psi(0)/psi^[1]'
+    at lam.  Both are entire, so the Cauchy integrals over the same samples
+    give it as mean(psi(0)) / mean(psi^[1](0) / (z - lam)); it agrees with
+    the circle to rounding only when lam is a root and the circle holds no
+    other pole."""
     lam_c = np.array([r.lam for r in eigs], dtype=complex)
     th = np.exp(2j * PI * (np.arange(_N_QUAD) + 0.5) / _N_QUAD)
 
-    radii = np.empty(len(eigs))
-    for k in range(len(eigs)):
-        others = np.delete(lam_c, k)
-        dmin = np.min(np.abs(others - lam_c[k])) if len(others) else np.inf
-        radii[k] = min(1e-2 * max(1.0, abs(lam_c[k])), 0.25 * dmin)
-        if radii[k] < 1e-10 * (1 + abs(lam_c[k])):
-            raise PoleTooClose(f"poles too close near lambda={lam_c[k]:.6g}")
+    gap = (np.abs(lam_c[:, None] - lam_c[None, :])
+           + np.diag(np.full(len(eigs), np.inf))).min(axis=1, initial=np.inf)
+    radii = np.array([min(1e-2 * max(1.0, abs(z)), 0.25 * d) for z, d in zip(lam_c, gap)])
+    close = np.flatnonzero(radii < 1e-10 * (1 + np.abs(lam_c)))
+    if close.size:
+        raise PoleTooClose(f"poles too close near lambda={lam_c[close[0]]:.6g}")
 
-    pts = (lam_c[:, None] + radii[:, None] * th[None, :]).ravel()
-    y0, yq0 = _psi_zero_batch(prob, pts, n_x)
-    Mv = (y0 / yq0).reshape(len(eigs), _N_QUAD)
-
-    # cross-check data of every simple real pole: psi at lam - h, lam + h and
-    # lam, propagated in one batch
-    steps = {k: 1e-5 * max(1.0, abs(rec.lam)) for k, rec in enumerate(eigs)
-             if rec.multiplicity == 1 and abs(rec.lam.imag) < 1e-9}
-    cross = {}
-    if steps:
-        lam_s = np.array([[eigs[k].lam - h, eigs[k].lam + h, eigs[k].lam]
-                          for k, h in steps.items()], dtype=complex)
-        y0s, yq0s = _psi_zero_batch(prob, lam_s.ravel(), n_x)
-        cross = {k: (h, y0s[3 * i:3 * i + 3], yq0s[3 * i:3 * i + 3])
-                 for i, (k, h) in enumerate(steps.items())}
+    z = lam_c[:, None] + radii[:, None] * th[None, :]
+    y0, yq0 = (v.reshape(z.shape) for v in _psi_zero_batch(prob, z.ravel(), n_x))
 
     out: list[EigenRecord] = []
     for k, rec in enumerate(eigs):
-        z = lam_c[k] + radii[k] * th
-        alphas = []
-        for j in range(rec.multiplicity):
-            alphas.append(complex(np.mean(Mv[k] * (z - lam_c[k]) ** (j + 1))))
-        if k in cross:
-            # cross-check against the simple-pole formula
-            h, y0k, yq0k = cross[k]
-            dprime = (-yq0k[1] + yq0k[0]) / (2 * h)
-            alt = y0k[2] / (-dprime)
-            if abs(alt - alphas[0]) > 1e-4 * max(1.0, abs(alphas[0])):
+        dz = z[k] - lam_c[k]  # the offsets of the samples as rounded
+        alphas = [complex(np.mean(y0[k] / yq0[k] * dz ** (j + 1)))
+                  for j in range(rec.multiplicity)]
+        if rec.multiplicity == 1:
+            alt = np.mean(y0[k]) / np.mean(yq0[k] / dz)
+            if abs(alt - alphas[0]) > 1e-8 * max(1.0, abs(alphas[0])):
                 warnings.warn(
                     f"weight number cross-check mismatch at lambda={rec.lam:.6g}: "
-                    f"circle {alphas[0]:.8g} vs psi/Delta' {alt:.8g}",
+                    f"circle {alphas[0]:.8g} vs psi/psi^[1]' {alt:.8g}",
                     stacklevel=2)
         out.append(EigenRecord(lam=rec.lam, rho=rec.rho,
                                multiplicity=rec.multiplicity,

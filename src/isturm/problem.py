@@ -85,21 +85,6 @@ def poly_eval(p: Polynomial, lam):
     return acc if acc.shape else complex(acc)
 
 
-def _poly_divmod(a: np.ndarray, b: np.ndarray):
-    # arrays ascending, b trimmed and nonzero
-    a = a.copy()
-    q = np.zeros(max(len(a) - len(b) + 1, 1), dtype=complex)
-    while len(a) >= len(b) and np.max(np.abs(a)) > 0:
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        a[k:] -= f * b
-        a = a[:-1]
-        if len(a) == 0:
-            a = np.zeros(1, dtype=complex)
-    return q, a
-
-
 def poly_gcd_degree(p: Polynomial, q: Polynomial, rtol: float = ZERO_RTOL) -> int:
     """Degree of the monic gcd, Euclidean algorithm with deflation; every
     threshold is relative, so a common factor of p and q changes nothing."""
@@ -118,7 +103,7 @@ def poly_gcd_degree(p: Polynomial, q: Polynomial, rtol: float = ZERO_RTOL) -> in
             return len(_trim(a, rtol)) - 1
         if len(b) == 1:
             return 0
-        _, r = _poly_divmod(_trim(a, rtol), b)
+        _, r = np.polynomial.polynomial.polydiv(_trim(a, rtol), b)
         if np.max(np.abs(r)) <= rtol * np.max(np.abs(b)):
             return len(b) - 1  # b divides a up to rounding
         a, b = b, r

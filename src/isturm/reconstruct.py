@@ -399,7 +399,6 @@ class ReconstructionResult:
 
 
 def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
-                         N: int | None = None,
                          m1: int | None = None) -> ReconstructionResult:
     """Steps 3..10 of the reconstruction: detect M1, build the model problem,
     solve the main equation on the grid, apply the reconstruction formulas."""
@@ -413,7 +412,7 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
     md = ModelData(m1)
     ctx = MainEquationContext(sd, md, K)
     table = solve_on_grid(sd, md, K, n_x=n_x, ctx=ctx)
-    contour = ContourSpec(N) if N is not None else choose_contour(ctx)
+    contour = choose_contour(ctx)
     sigma = reconstruct_sigma(table)
     r1, diag1 = reconstruct_r1(table, contour)
     r2, diag2 = reconstruct_r2(table, contour, sigma=sigma)

@@ -61,8 +61,8 @@ class RefinedResult:
     diagnostics: dict
 
 
-def invert_refined(sd: SpectralData, K: int | None = None, n_x: int = 512,
-                   N: int | None = None) -> RefinedResult:
+def invert_refined(sd: SpectralData, K: int | None = None,
+                   n_x: int = 512) -> RefinedResult:
     """invert_spectral_data plus one defect-correction pass.
 
     The pass forwards the smoothed reconstruction (on N_X_FORWARD nodes),
@@ -70,7 +70,7 @@ def invert_refined(sd: SpectralData, K: int | None = None, n_x: int = 512,
     difference of the two smoothed reconstructions.
     """
     K = sd.K if K is None else K
-    res0 = invert_spectral_data(sd, K=K, n_x=n_x, N=N)
+    res0 = invert_spectral_data(sd, K=K, n_x=n_x)
     xs = res0.x_grid
     width = PI / K
     sig0_s = smooth_grid(res0.sigma, xs, width)
@@ -101,11 +101,11 @@ class RegularResult(RefinedResult):
     q_diagnostics: dict
 
 
-def invert_regular(sd: SpectralData, K: int | None = None, n_x: int = 512,
-                   N: int | None = None) -> RegularResult:
+def invert_regular(sd: SpectralData, K: int | None = None,
+                   n_x: int = 512) -> RegularResult:
     """The regular-layer chain: invert_refined, recover_q, rebuild_sigma_tail
     and check_r2_shift."""
-    ref = invert_refined(sd, K=K, n_x=n_x, N=N)
+    ref = invert_refined(sd, K=K, n_x=n_x)
     q, qdiag = recover_q(ref.sigma, ref.x_grid, ref.base.K)
     sigma, sigma_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
     return RegularResult(**{**vars(ref), "sigma": sigma}, q=q, sigma_pi=sigma_pi,

@@ -124,7 +124,7 @@ def detect_M1(eigs) -> tuple[int, str]:
                          dtype=complex)
     K = len(rho)
     if K < 20:
-        raise ValueError("detect_M1 needs at least 20 eigenvalues")
+        raise MalformedInput("detect_M1 needs at least 20 eigenvalues: give M1 in the data")
     n = np.arange(1, K + 1)
     offs = n - 1 - rho.real
     tail = offs[-max(K // 3, 5):]

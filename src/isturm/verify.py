@@ -49,12 +49,11 @@ def _timed_roundtrip(inner, K: int, n_x_forward: int, invert):
     }
 
 
-def roundtrip(prob, K: int, n_x_forward: int = 1024, n_x_inverse: int = 512,
-              N: int | None = None) -> dict:
+def roundtrip(prob, K: int, n_x_forward: int = 1024, n_x_inverse: int = 512) -> dict:
     """forward -> invert -> compare; returns a flat report dict."""
     inner = prob.inner if isinstance(prob, FullProblem) else prob
     res, report = _timed_roundtrip(inner, K, n_x_forward,
-                                   lambda sd: invert_spectral_data(sd, K=K, n_x=n_x_inverse, N=N))
+                                   lambda sd: invert_spectral_data(sd, K=K, n_x=n_x_inverse))
     return {**report, "M1_detected": res.m1, "N": res.N, "r1": res.r1, "r2": res.r2,
             "diagnostics": res.diagnostics, "result": res}
 

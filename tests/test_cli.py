@@ -112,7 +112,8 @@ def test_missing_config_is_io_error(tmp_path):
                                   "duplicate-adjacent", "M1-infinite",
                                   "multiplicity-infinite", "M1-fractional",
                                   "multiplicity-fractional", "multiplicity-four",
-                                  "M1-three", "case-bogus", "case-list"])
+                                  "M1-three", "case-bogus", "case-list",
+                                  "M1-absent-short"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -164,6 +165,8 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         data["case"] = "bogus"
     elif case == "case-list":
         data["case"] = ["x"]
+    elif case == "M1-absent-short":  # M1 must then be detected, from >= 20 records
+        data["M1"] = -1
     else:
         K = "2"
     sd_path.write_text(json.dumps(data))  # plain json: it writes NaN and Infinity
@@ -230,11 +233,12 @@ def test_malformed_config_values_exit_code(tmp_path, capsys, command, case):
     ("forward", ["--K", "abc"]), ("forward", ["--N", "3"]), (None, []),
     ("forward", ["--K", "0"]), ("forward", ["--K", "1"]), ("invert", ["--K", "0"]),
     ("invert", ["--nx", "2"]), ("invert", ["--N", "x"]), ("invert", ["--N", "0"]),
+    ("invert", ["--N", "3"]),
     ("model", ["--M1", "-1"]), ("model", ["--K", "0"]), ("model", ["--nx", "65"]),
     ("model", ["--M1", "3"]), ("model", ["--M1", "1", "--K", "1"])],
     ids=["K-abc", "forward-N", "no-command", "forward-K0", "forward-K1", "invert-K0",
-         "invert-nx2", "invert-N-x", "invert-N0", "model-M1-negative", "model-K0",
-         "model-nx", "model-M1-3", "model-K-splits-cluster"])
+         "invert-nx2", "invert-N-x", "invert-N0", "invert-N-unknown", "model-M1-negative",
+         "model-K0", "model-nx", "model-M1-3", "model-K-splits-cluster"])
 def test_bad_arguments_exit_code(tmp_path, capsys, command, extra):
     # every other argument is valid, so the one under test decides the code
     configs = {"forward": _write_problem(tmp_path / "problem.json", [1], [1]),

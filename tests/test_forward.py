@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -341,6 +343,19 @@ def test_find_eigenvalues_real_roots_change_sign(h, xj, b, K):
     assert np.all(d[:len(simple)] * d[len(simple):] < 0)
 
 
+def test_unclosed_brackets_are_dropped_to_the_seeded_path(monkeypatch):
+    # with Illinois a no-op no bracket closes, so _real_roots returns none of
+    # the roots, the master count sends the problem to the seeded path, and
+    # that path finds the same K simple roots
+    prob = ProblemL(SigmaStep(1.0, PI / 2), Polynomial([1]), Polynomial([1]))
+    want = np.array([r.lam for r in find_eigenvalues(prob, 20, 1024)])
+    monkeypatch.setattr(forward, "_illinois", lambda *args, **kwargs: None)
+    eigs = find_eigenvalues(prob, 20, 1024)
+    assert [r.multiplicity for r in eigs] == [1] * 20
+    got = np.array([r.lam for r in eigs])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
 def test_polish_simple_flat_secant_takes_no_step():
     # near r = 2 the function is a staircase, flat over the first secant pair
     # (z0 and z1 = z0 (1 + 1e-7) + 1e-7 give f0 == f1 != 0); like char_delta
@@ -390,6 +405,19 @@ def test_weight_numbers_robin_vs_closed_form_quadrature(robin_sd25):
         want = np.mean(m_closed(z) * (z - sd.lam[k]))
         assert abs(sd.alpha[k] - want) < 1e-6
         assert abs(sd.alpha[k] - 2 / PI) < 0.2  # kappa_n decay
+
+
+def test_weight_check_fires_on_complex_pole_off_its_root():
+    # the circle still encloses the root and returns its residue, but the
+    # same-sample residue psi(0)/psi^[1]' is taken at the moved centre
+    prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
+    eigs = find_eigenvalues(prob, 8, 512)
+    weight_numbers(prob, eigs, 512)  # no warning at the roots themselves
+    k = 3
+    assert abs(eigs[k].lam.imag) > 0.1 and eigs[k].multiplicity == 1
+    eigs[k] = dataclasses.replace(eigs[k], lam=eigs[k].lam * (1 + 1e-6))
+    with pytest.warns(UserWarning, match="weight number cross-check"):
+        weight_numbers(prob, eigs, 512)
 
 
 def test_weyl_M_closed_form_value():
