@@ -125,10 +125,12 @@ def cplx(z):
 
 
 def from_pair(v) -> complex:
-    """Finite complex from a JSON [re, im] pair; a pair of any other shape or
-    with a non-finite part raises MalformedInput."""
+    """Finite complex from a JSON [re, im] pair; a pair of any other shape,
+    with a boolean or with a non-finite part raises MalformedInput."""
     try:
         re, im = v
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise TypeError("a boolean is not a number")
         z = complex(re, im)
     except (TypeError, ValueError, OverflowError):
         raise MalformedInput(f"{v!r} is not an [re, im] pair") from None

@@ -249,25 +249,26 @@ def _winding_data(f, polylines, max_refine=14):
             for i, (p, v) in enumerate(zip(pts, vals))]
 
 
-def _contour_moments(f, pts, orders=0):
-    """(count, s1, ..., s_orders) for roots of f inside a closed polyline,
-    derivative free: integrates lam^p dlog f by parts with the continuously
-    tracked log."""
-    data = _winding_data(f, [pts])[0]
-    if data is None:
-        raise NoConvergence("phase tracking failed on the contour")
-    pts, logf = data
-    wind = (logf[-1] - logf[0]).imag / (2 * PI)
-    count = int(round(wind))
-    if abs(wind - count) > 0.05:
-        raise NoConvergence(f"non-integer winding {wind:.3f}")
-    lam0 = pts[0]
-    moms = [count]
-    for p in range(1, orders + 1):
-        integrand = pts ** (p - 1) * logf
-        integral = np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(pts))
-        moms.append(lam0**p * count - p / (2j * PI) * integral)
-    return moms
+def _contour_moments(f, polylines, orders):
+    """Per closed polyline, the root count and power sums
+    (count, s1, ..., s_orders) of f inside it, derivative free (Delves &
+    Lyness, Math. Comp. 21, 1967): integrates lam^p dlog f by parts with the
+    continuously tracked log.  All polylines are traced in one _winding_data
+    batch; an entry is None where tracking failed or the winding is more than
+    0.05 from an integer."""
+    def moments(pts, logf):
+        wind = (logf[-1] - logf[0]).imag / (2 * PI)
+        count = int(round(wind))
+        if abs(wind - count) > 0.05:
+            return None
+        moms = [count]
+        for p in range(1, orders + 1):
+            integrand = pts ** (p - 1) * logf
+            integral = np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(pts))
+            moms.append(pts[0]**p * count - p / (2j * PI) * integral)
+        return moms
+    traced = _winding_data(f, polylines) if len(polylines) else []
+    return [None if data is None else moments(*data) for data in traced]
 
 
 def _edge_points(z0, z1, n_min=16, per_rho=14.0):
@@ -300,15 +301,14 @@ def _circle_points(center, radius, n=96):
 def _winds_once(f, centers, radii):
     """Mask of the circles on which f winds once (to 0.05), that is, which
     hold exactly one simple root; all circles are traced in one batch."""
-    if not len(centers):
-        return np.zeros(0, dtype=bool)
-    traced = _winding_data(f, [_circle_points(c, r) for c, r in zip(centers, radii)])
-    return np.array([w is not None and abs((w[1][-1] - w[1][0]).imag / (2 * PI) - 1) < 0.05
-                     for w in traced])
+    moms = _contour_moments(f, [_circle_points(c, r) for c, r in zip(centers, radii)], 0)
+    return np.array([m is not None and m[0] == 1 for m in moms], dtype=bool)
 
 
-def _box_count(f, corners):
-    return _contour_moments(f, _rect_points(corners), orders=0)[0]
+def _box_count(f, boxes):
+    """Root count of f in each rectangle, None where it is not clean; one batch."""
+    return [None if m is None else m[0]
+            for m in _contour_moments(f, [_rect_points(c) for c in boxes], 0)]
 
 
 def _roots_from_moments(count, moms):
@@ -340,7 +340,9 @@ def _subdivide_hunt(f, corners, count, depth=0, max_depth=60):
     a, b, c, d = corners
     small = max(b - a, d - c) < 1e-5 * (1.0 + max(abs(a), abs(b), abs(c), abs(d)))
     if count == 1 or (count <= 3 and small):
-        moms = _contour_moments(f, _rect_points(corners, n_side=96), orders=count)
+        moms = _contour_moments(f, [_rect_points(corners, n_side=96)], count)[0]
+        if moms is None:
+            raise NoConvergence("no clean winding on a root box")
         return [_roots_from_moments(count, moms)]
     if depth >= max_depth:
         raise NoConvergence("subdivision depth exhausted")
@@ -352,12 +354,8 @@ def _subdivide_hunt(f, corners, count, depth=0, max_depth=60):
         else:
             m = c + frac * (d - c)
             boxes = [(a, b, c, m), (a, b, m, d)]
-        try:
-            c1 = _box_count(f, boxes[0])
-            c2 = _box_count(f, boxes[1])
-        except NoConvergence:
-            continue
-        if c1 + c2 != count:
+        c1, c2 = _box_count(f, boxes)
+        if c1 is None or c2 is None or c1 + c2 != count:
             continue
         return (_subdivide_hunt(f, boxes[0], c1, depth + 1, max_depth)
                 + _subdivide_hunt(f, boxes[1], c2, depth + 1, max_depth))
@@ -394,12 +392,8 @@ def _polish_cluster(f, center, m, scale, rounds=6):
     """Centroid refinement of an m-fold cluster by shrinking circle moments."""
     r = max(1e-3 * scale, 1e-8)
     for _ in range(rounds):
-        try:
-            moms = _contour_moments(f, _circle_points(center, r), orders=1)
-        except NoConvergence:
-            r *= 1.7
-            continue
-        if moms[0] != m:
+        moms = _contour_moments(f, [_circle_points(center, r)], 1)[0]
+        if moms is None or moms[0] != m:
             r *= 1.7
             continue
         center = moms[1] / m
@@ -417,14 +411,10 @@ def _analyze_group(f, group, merge_tol=1e-5):
     radius = max(4.0 * spread, 1e-3 * (1 + abs(center)))
     r_min = max(2.0 * spread, 1e-9 * (1 + abs(center)))
     for _ in range(8):
-        try:
-            moms = _contour_moments(f, _circle_points(center, radius), orders=min(m, 3))
-        except NoConvergence:
-            radius *= 1.6
-            continue
-        if moms[0] == m:
+        moms = _contour_moments(f, [_circle_points(center, radius)], min(m, 3))[0]
+        if moms is not None and moms[0] == m:
             break
-        radius = radius * 1.6 if moms[0] < m else max(radius * 0.5, r_min)
+        radius = radius * 1.6 if moms is None or moms[0] < m else max(radius * 0.5, r_min)
     else:
         raise NoConvergence("could not isolate a root group")
     if m > 3:
@@ -504,9 +494,9 @@ def _seeded_roots(f, master, total, K, shift, n0):
     if not ok.all():
         n0 = n[~ok].max() + 1
     low = (a, min((n0 - shift - 0.5) ** 2, b), c, d)
-    n_low = _box_count(f, low)
+    n_low = _box_count(f, [low])[0]
     certified = z[n >= n0]
-    if n_low + len(certified) != total:
+    if n_low is None or n_low + len(certified) != total:
         return None
     return list(certified), _subdivide_hunt(f, low, n_low)
 
@@ -545,16 +535,14 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     # master region count check
     master = (-(t_neg**2) - 1.0, top_rho**2, -max(6.0, 1.5 * top_rho),
               max(6.0, 1.5 * top_rho))
-    total = None
     for grow in range(3):
-        try:
-            total = _box_count(delta, master)
+        total = _box_count(delta, [master])[0]
+        if total is not None:
             break
-        except NoConvergence:
-            # nudge boundaries off any zero; the top edge moves gently so the
-            # (K+1)-th eigenvalue stays outside
-            master = (master[0] - 1.3, master[1] + 0.4 * top_rho,
-                      master[2] * 1.1, master[3] * 1.1)
+        # nudge boundaries off any zero; the top edge moves gently so the
+        # (K+1)-th eigenvalue stays outside
+        master = (master[0] - 1.3, master[1] + 0.4 * top_rho,
+                  master[2] * 1.1, master[3] * 1.1)
     if total is None:
         raise CountMismatch("could not count roots in the master region")
 

@@ -17,10 +17,11 @@ poles, the towers phi_model/phi_model_dx.  The order-0 kernel is
 (rho S (x) C - C (x) rho S) times the x-free Cauchy matrix 1/(lam - mu),
 except at the near pairs |lam - mu| <= EPS_D_BASE (1 + |rho_lam| + |rho_mu|)^2,
 where that product cancels and kernel_D's closed form is taken; cluster
-entries take the (lam - mu) recurrence of model.py.  As
-d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu), H' = psi_tilde v^T
-is rank one; the system carries v, and one LU solve with two right-hand sides
-gives psi and psi'.
+entries take the (lam - mu) recurrence of model.py or, near the diagonal, its
+double series for small poles and its 700-node Gauss-Legendre rule for large
+ones.  As d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu),
+H' = psi_tilde v^T is rank one; the system carries v, and one LU solve with
+two right-hand sides gives psi and psi'.
 """
 from __future__ import annotations
 

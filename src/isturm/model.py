@@ -87,27 +87,19 @@ def _sinc(z):
     return np.where(z == 0, 1.0, np.sin(z) / np.where(z == 0, 1.0, z))
 
 
-# Gauss-Legendre node counts of kernel_D_derivs_batch, about sqrt(2) apart
-_NODE_LADDER = np.array([24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 700])
-
-
 @functools.cache
-def _ladder_rules():
-    """Nodes and weights on [-1, 1] of every _NODE_LADDER rule, end to end,
-    and the offset of each rule."""
-    t, w = zip(*(np.polynomial.legendre.leggauss(int(n)) for n in _NODE_LADDER))
-    return np.concatenate(t), np.concatenate(w), np.cumsum(_NODE_LADDER) - _NODE_LADDER
+def _gauss_legendre():
+    """Nodes and weights on [-1, 1] of kernel_D_derivs_batch's 700-node rule."""
+    return np.polynomial.legendre.leggauss(700)
 
 
 def kernel_D_derivs_batch(x, lams, j_lams, mus, j_mus):
     """Vectorized kernel derivatives for mixed order batches (1-D arrays).
 
-    Each entry takes the Gauss-Legendre rule sized by its own
-    x (|rho_lam| + |rho_mu|), rounded up to _NODE_LADDER, so its value does
-    not depend on the other entries of the batch.  The entries of one order
-    pair are evaluated in one flat array, node by node, and each entry's
-    products are summed by np.add.reduceat over its own segment.  Orders
-    above MAX_DERIV_ORDER raise OrderTooHigh."""
+    Every entry takes one 700-node Gauss-Legendre rule on [0, x], checked in
+    tests/test_model.py against 50-digit derivatives of kernel_D's closed form,
+    and its products are summed on their own, so its value does not depend on
+    the batch.  Orders above MAX_DERIV_ORDER raise OrderTooHigh."""
     lams = np.asarray(lams, dtype=complex)
     mus = np.asarray(mus, dtype=complex)
     j_lams = np.asarray(j_lams, dtype=int)
@@ -119,20 +111,13 @@ def kernel_D_derivs_batch(x, lams, j_lams, mus, j_mus):
         raise OrderTooHigh("kernel derivative order above the multiplicity cap")
     if x == 0.0:
         return out
-    n_raw = np.minimum(700, np.maximum(24, 0.9 * x * (np.abs(sqrt_lambda(lams))
-                                                      + np.abs(sqrt_lambda(mus))) + 16))
-    rung = np.searchsorted(_NODE_LADDER, n_raw.astype(int))
-    t_ref, w_ref, start = _ladder_rules()
+    t_ref, w_ref = _gauss_legendre()
     half = 0.5 * x
+    t, w = half + half * t_ref, half * w_ref
     for jl, jm in np.unique(np.stack([j_lams, j_mus]), axis=1).T:
         e = np.flatnonzero((j_lams == jl) & (j_mus == jm))
-        n = _NODE_LADDER[rung[e]]
-        first = np.cumsum(n) - n
-        node = np.repeat(start[rung[e]] - first, n) + np.arange(first[-1] + n[-1])
-        t = half + half * t_ref[node]
-        fl = phi_model(int(jl), t, np.repeat(lams[e], n))
-        fm = phi_model(int(jm), t, np.repeat(mus[e], n))
-        out[e] = np.add.reduceat(half * w_ref[node] * fl * fm, first)
+        f = phi_model(int(jl), t, lams[e, None]) * phi_model(int(jm), t, mus[e, None])
+        out[e] = (f * w).sum(axis=1)
     return out
 
 

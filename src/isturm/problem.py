@@ -168,7 +168,10 @@ class SigmaFunction:
         if kind == "zero":
             return SigmaZero()
         if kind == "step":
-            return SigmaStep(from_pair(data["height"]), float(data["jump"]))
+            jump = data["jump"]
+            if isinstance(jump, bool) or not isinstance(jump, (int, float)):
+                raise TypeError(f"step jump {jump!r} is not a number")
+            return SigmaStep(from_pair(data["height"]), float(jump))
         if kind == "poly_x":
             return SigmaPolynomialInX([from_pair(v) for v in data["coeffs"]])
         if kind == "grid":

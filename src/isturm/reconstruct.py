@@ -1,11 +1,10 @@
 """Reconstruction of (sigma, r1, r2) from the solved main-equation table.
 
 All contour integrals are evaluated as finite residue sums over the poles of
-the truncated Weyl difference; trapezoid quadrature on the circle contour is
-kept alongside as a cross-check (the two must agree to quadrature accuracy).
-Every pole with flattened index <= K contributes exactly once, whether it
-falls inside the contour (residue block, with derivative terms for clusters)
-or beyond it (simple tail block).
+the truncated Weyl difference; tests/contour_oracle.py checks them against
+trapezoid quadrature on the circle contour.  Every pole with flattened index
+<= K contributes exactly once, whether it falls inside the contour (residue
+block, with derivative terms for clusters) or beyond it (simple tail block).
 
 The sigma series converges in the mean-square sense only: at x = pi it has a
 measure-zero defect (it tends to sigma(pi) + 2 d, d the top coefficient of the
@@ -19,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import lam_batch, phi_model, phi_model_dx, sqrt_lambda
+from ._util import lam_batch, phi_model, phi_model_dx
 from .errors import ContourThroughPole, FitResidualTooLarge, UnsupportedCase
 from .maineq import MainEquationContext, PhiTable, solve_at_x, solve_on_grid
 from .model import ModelData
 from .problem import Polynomial
-from .spectral import SpectralData, _principal_part_sum, detect_M1
+from .spectral import SpectralData, detect_M1
 
 PI = np.pi
 CONTOUR_MARGIN = 2      # contour indices added past the last one that must be inside
 FIT_RESID_TOL = 1e-3    # relative residual above which an r1/r2 fit is rejected
-QUAD_NODES = 256        # trapezoid nodes of the contour quadrature cross-checks
 
 
 @dataclass(frozen=True)
@@ -293,92 +291,6 @@ def reconstruct_r2(table: PhiTable, contour: ContourSpec,
         table.ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam) - S2)
     diag = {"fit_residual": resid, "bc_constant": complex(-S2)}
     return Polynomial(coeffs), diag
-
-
-# ---------------------------------------------------------------------------
-# Contour-term cross-checks (residue sums versus trapezoid quadrature).
-
-
-def weyl_difference_truncated(ctx: MainEquationContext, mu: np.ndarray) -> np.ndarray:
-    """hat M^K(mu): the K-truncated data partial fraction minus the model one."""
-    return _principal_part_sum(np.asarray(mu, dtype=complex), ((ctx.sd, 1.0), (ctx.mds, -1.0)))
-
-
-def weyl_model(mu):
-    """Closed form cos(rho pi) / (rho sin(rho pi)) of the reference problem."""
-    mu = np.asarray(mu, dtype=complex)
-    rho = np.asarray(sqrt_lambda(mu))
-    num = np.cos(rho * PI)
-    den = rho * np.sin(rho * PI)
-    small = np.abs(den) < 1e-300
-    return num / np.where(small, 1e-300, den)
-
-
-def sigma_contour_residue(table: PhiTable, contour: ContourSpec, x: float) -> complex:
-    """Residue evaluation of -(1/pi i) oint (phit phiK - 1/2) hatM dmu over
-    the poles inside the contour; x must be a grid node."""
-    ix = _node(table, x)
-    if ix is None:
-        raise ValueError(f"x={x} is not a grid node")
-    total = _residue_sum(table.ctx, _BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
-                         radius=contour.radius)
-    return complex(-2.0 * total)
-
-
-def _circle_nodes(contour: ContourSpec) -> np.ndarray:
-    """QUAD_NODES midpoint nodes of the trapezoid rule on the contour circle."""
-    th = np.exp(2j * PI * (np.arange(QUAD_NODES) + 0.5) / QUAD_NODES)
-    return contour.radius * th
-
-
-def sigma_contour_quadrature(table: PhiTable, contour: ContourSpec, x: float) -> complex:
-    """sigma_contour_residue's integral by the trapezoid rule on the circle."""
-    mu = _circle_nodes(contour)
-    phiK = phi_K_of_lambda(table, x, mu)
-    integrand = (phi_model(0, x, mu) * phiK - 0.5) * weyl_difference_truncated(table.ctx, mu)
-    return complex(-2.0 * np.mean(integrand * mu))
-
-
-def r1_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex) -> complex:
-    """-(1/2 pi i) oint phit'(pi) phiK(pi) M(mu) / (lam - mu) dmu as residues."""
-    total = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam,
-                         radius=contour.radius)
-    return complex(-total)
-
-
-def r1_contour_quadrature(table: PhiTable, contour: ContourSpec, lam: complex) -> complex:
-    """r1_contour_residue's integral by the trapezoid rule on the circle."""
-    mu = _circle_nodes(contour)
-    phiK = phi_K_of_lambda(table, PI, mu)
-    Mmu = weyl_model(mu) + weyl_difference_truncated(table.ctx, mu)
-    integrand = phi_model_dx(0, PI, mu) * phiK * Mmu / (lam - mu)
-    return complex(-np.mean(integrand * mu))
-
-
-def r2_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex,
-                       sigma_pi_raw: complex):
-    """The two r2 contour terms as residue sums: (quasi-derivative integral
-    against M, boundary integral against hatM)."""
-    t_quasi = _residue_sum(table.ctx, _DATA, phi_model_dx, PI,
-                           _quasi_pi(table, sigma_pi_raw)[:, None], lam=lam,
-                           radius=contour.radius)
-    t_bc = _residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, -1], offset=1.0,
-                        radius=contour.radius)
-    return complex(t_quasi), complex(-t_bc)
-
-
-def r2_contour_quadrature(table: PhiTable, contour: ContourSpec, lam: complex,
-                          sigma_pi_raw: complex):
-    """r2_contour_residue's two integrals by the trapezoid rule on the circle."""
-    mu = _circle_nodes(contour)
-    phiK = phi_K_of_lambda(table, PI, mu)
-    dphiK = dphi_K_dx(table, PI, mu)
-    quasi = dphiK - sigma_pi_raw * phiK
-    hatM = weyl_difference_truncated(table.ctx, mu)
-    Mmu = weyl_model(mu) + hatM
-    t_quasi = np.mean(phi_model_dx(0, PI, mu) * quasi * Mmu / (lam - mu) * mu)
-    t_bc = -np.mean((phi_model(0, PI, mu) * phiK - 1.0) * hatM * mu)
-    return complex(t_quasi), complex(t_bc)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,10 @@ def spectral_data_to_json(sd: SpectralData) -> dict:
 
 
 def _integer(v) -> int:
-    """v as an int; int() would truncate 1.9 to 1 without a word."""
+    """v as an int; int() would truncate 1.9 to 1 and read true as 1 without
+    a word."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not an integer")
     i = int(v)
     if i != v:
         raise ValueError(f"{v!r} is not an integer")

@@ -9,22 +9,18 @@ import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
-from isturm import (ContourSpec, ModelData, Polynomial, ProblemL, SigmaStep,
-                    SigmaZero, char_delta, choose_contour, find_eigenvalues,
-                    forward_spectral_data, invert_spectral_data, kernel_D,
-                    regular_roundtrip, sigma_l2_error, sigma_l2_norm, solve_on_grid,
-                    weight_numbers)
+from isturm import (ModelData, Polynomial, ProblemL, SigmaStep, SigmaZero, char_delta,
+                    choose_contour, find_eigenvalues, forward_spectral_data,
+                    invert_spectral_data, kernel_D, regular_roundtrip, sigma_l2_error,
+                    sigma_l2_norm, solve_on_grid, weight_numbers)
 from isturm._util import phi_model_dx
 from isturm.maineq import MainEquationContext, build_system
 from isturm.model import EPS_D_BASE
 from isturm.problem import FullProblem, SigmaPolynomialInX
-from isturm.reconstruct import (_DATA, _residue_sum, r1_contour_quadrature,
-                                r1_contour_residue, r2_contour_quadrature,
-                                r2_contour_residue, reconstruct_r1,
-                                reconstruct_r2, reconstruct_sigma,
-                                sigma_contour_quadrature, sigma_contour_residue)
+from isturm.reconstruct import _DATA, _residue_sum, reconstruct_r1
 from isturm.spectral import SpectralData
 from isturm.verify import coeff_error, roundtrip
+from contour_oracle import worst_mismatch
 from q_oracle import kernel_D_derivs
 
 PI = np.pi
@@ -216,19 +212,8 @@ def test_criterion_8_truncation_bound(step_sd160):
 
 
 def _criterion_9_checks(table, contour):
-    sig = reconstruct_sigma(table)
-    diffs = []
-    for ix in (len(table.x_grid) // 3, len(table.x_grid) - 1):
-        x = table.x_grid[ix]
-        diffs.append(abs(sigma_contour_residue(table, contour, x)
-                         - sigma_contour_quadrature(table, contour, x)))
-    lam = contour.radius + 9.0 + 0.5j
-    diffs.append(abs(r1_contour_residue(table, contour, lam)
-                     - r1_contour_quadrature(table, contour, lam)))
-    rq, rb = r2_contour_residue(table, contour, lam, sig.sigma_pi_raw)
-    qq, qb = r2_contour_quadrature(table, contour, lam, sig.sigma_pi_raw)
-    diffs.extend([abs(rq - qq), abs(rb - qb)])
-    return max(diffs)
+    n_x = len(table.x_grid)
+    return worst_mismatch(table, contour, ixs=(n_x // 3, n_x - 1), lam=contour.radius + 9.0 + 0.5j)
 
 
 def test_criterion_9_residue_vs_quadrature(poly60_inversion):

@@ -113,7 +113,8 @@ def test_missing_config_is_io_error(tmp_path):
                                   "multiplicity-infinite", "M1-fractional",
                                   "multiplicity-fractional", "multiplicity-four",
                                   "M1-three", "case-bogus", "case-list",
-                                  "M1-absent-short"])
+                                  "M1-absent-short", "lambda-bool", "multiplicity-bool",
+                                  "M1-bool"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -167,6 +168,12 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         data["case"] = ["x"]
     elif case == "M1-absent-short":  # M1 must then be detected, from >= 20 records
         data["M1"] = -1
+    elif case == "lambda-bool":  # true is not the number 1
+        data["eigs"][1]["lambda"] = [True, 0.0]
+    elif case == "multiplicity-bool":
+        data["eigs"][1]["multiplicity"] = True
+    elif case == "M1-bool":
+        data["M1"] = False
     else:
         K = "2"
     sd_path.write_text(json.dumps(data))  # plain json: it writes NaN and Infinity
@@ -204,7 +211,8 @@ def test_malformed_problem_exit_code(tmp_path, capsys, command, case):
     ("forward", "r2-nan"), ("forward", "height-inf"), ("roundtrip", "r2-nan"),
     ("roundtrip", "tolerances-string"), ("roundtrip", "tolerance-string"),
     ("roundtrip", "tolerance-unknown-key"), ("roundtrip", "tolerance-negative"),
-    ("roundtrip", "tolerance-nan"), ("forward", "jump-huge")])
+    ("roundtrip", "tolerance-nan"), ("forward", "jump-huge"), ("forward", "jump-string"),
+    ("forward", "jump-bool"), ("forward", "height-bool")])
 def test_malformed_config_values_exit_code(tmp_path, capsys, command, case):
     cfg = _write_problem(tmp_path / "problem.json", [1], [1], sigma=SigmaStep(1.0, PI / 2))
     data = json.loads(cfg.read_text())
@@ -214,6 +222,12 @@ def test_malformed_config_values_exit_code(tmp_path, capsys, command, case):
         data["sigma"]["height"] = [float("inf"), 0.0]
     elif case == "jump-huge":
         data["sigma"]["jump"] = 10 ** 400  # a JSON integer beyond the float range
+    elif case == "jump-string":
+        data["sigma"]["jump"] = "1.5"
+    elif case == "jump-bool":
+        data["sigma"]["jump"] = True
+    elif case == "height-bool":
+        data["sigma"]["height"] = [True, 0.0]
     else:
         data["tolerances"] = {"tolerances-string": "x",
                               "tolerance-string": {"r1": "a"},

@@ -1,11 +1,17 @@
 """Each demo runs to completion: a demo that imports a deleted public name, or
-fails on the way, exits nonzero or prints a traceback."""
+fails on the way, exits nonzero or prints a traceback.  The benchmark's
+tracer and BLAS baseline still find every isturm name they use."""
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import isturm
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,3 +29,19 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_benchmark_names_resolve():
+    # perfbench/tracing.py wraps each TARGETS (module, attribute) and
+    # perfbench/blas1.py calls solve_on_grid by keyword; a name moved away
+    # would break `perfbench/run.py --trace 1` only at run time
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    sd = isturm.spectral_data_from_json(isturm.spectral_data_to_json(
+        isturm.ModelData(0).spectral_data(4))).truncated(4)
+    md = isturm.ModelData(sd.m1)
+    ctx = isturm.MainEquationContext(sd, md, 4)
+    inspect.signature(isturm.solve_on_grid).bind(sd, md, 4, n_x=33, ctx=ctx)

@@ -14,7 +14,7 @@ from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
 from isturm import forward
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
-from isturm.forward import _BLOCK, _polish_simple, _propagate, _psi_zero_batch, _step_mesh
+from isturm.forward import _BLOCK, _polish_simple, _propagate, _step_mesh
 
 PI = np.pi
 
@@ -290,12 +290,13 @@ def _count_batches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("h, c, K, budget", [(1.0, 1.0, 60, 20), (0.0, 1.25 + 1.3j, 40, 84)],
+@pytest.mark.parametrize("h, c, K, budget", [(1.0, 1.0, 60, 20), (0.0, 1.25 + 1.3j, 40, 30)],
                          ids=["step-robin-K60", "complex-K40"])
 def test_find_eigenvalues_batch_budget(monkeypatch, h, c, K, budget):
     # the real path scans a grid, takes a few Illinois rounds, the master
     # count and the polish; the complex one polishes asymptotic seeds and
-    # certifies them together, and subdivides only the low zone
+    # certifies them together, and subdivides only the low zone, counting
+    # both halves of each split in one batch
     prob = ProblemL(SigmaStep(h, PI / 2) if h else SigmaZero(), Polynomial([1]), Polynomial([c]))
     calls = _count_batches(monkeypatch)
     eigs = find_eigenvalues(prob, K, 1024)
@@ -313,7 +314,7 @@ def test_find_eigenvalues_general_sigma_complex_certified(monkeypatch):
     prob = ProblemL(SigmaPolynomialInX([0, 1, 0.05]), Polynomial([1]), Polynomial([1.25 + 1.3j]))
     calls = _count_batches(monkeypatch)
     eigs = find_eigenvalues(prob, 40, 1024)
-    assert len(calls) <= 84
+    assert len(calls) <= 40
     assert [r.multiplicity for r in eigs] == [1] * 40
     # independent argument-principle check, as criterion 11 makes it: winding
     # number 1 on a 512-point circle of a third of the distance to the

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isturm import maineq
-from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, build_system,
-                    integrate_solution, recover_phi, solve_on_grid,
+from isturm import (ModelData, build_system, integrate_solution, recover_phi, solve_on_grid,
                     solve_system, xi_chi)
 from isturm._blas import openblas_handles
 from isturm.errors import Singular
@@ -311,11 +310,7 @@ def test_solve_on_grid_derivative_consistency():
 
 
 def test_solve_on_grid_self_convergence():
-    md = ModelData(0)
-    base = md.spectral_data(40)
-    lam = base.lam.copy()
-    lam[0] += 0.1
-    sd = SpectralData.from_flat(lam, base.alpha)
+    sd, md = _perturbed_data(40)
     t20 = solve_on_grid(sd.truncated(20), md, 20, n_x=33)
     t40 = solve_on_grid(sd, md, 40, n_x=33)
     diff = np.max(np.abs(t20.phi[:10, :, -1] - t40.phi[:10, :, -1]))

@@ -127,13 +127,18 @@ def test_kernel_D_outer_call_matches_broadcast_call():
         np.testing.assert_allclose(outer, loop, rtol=1e-13, atol=1e-300)
 
 
-def _mp_kernel_D(x, lam, mu):
+def _mp_D(x, lam, mu):
     """D(x, lam, mu) = (x/2) [sinc((rho_lam + rho_mu) x) + sinc((rho_lam - rho_mu) x)]
-    in 40-digit arithmetic; D is even in each rho, so the branch is irrelevant."""
+    on mpmath numbers; D is even in each rho, so the branch is irrelevant."""
+    rl, rm = mpmath.sqrt(lam), mpmath.sqrt(mu)
+    return x / 2 * (mpmath.sinc((rl + rm) * x) + mpmath.sinc((rl - rm) * x))
+
+
+def _mp_kernel_D(x, lam, mu):
+    """_mp_D in 40-digit arithmetic."""
     with mpmath.workdps(40):
-        rl, rm = (mpmath.sqrt(mpmath.mpc(complex(z))) for z in (lam, mu))
-        x = mpmath.mpf(float(x))
-        return complex(x / 2 * (mpmath.sinc((rl + rm) * x) + mpmath.sinc((rl - rm) * x)))
+        lam, mu = mpmath.mpc(complex(lam)), mpmath.mpc(complex(mu))
+        return complex(_mp_D(mpmath.mpf(float(x)), lam, mu))
 
 
 def test_kernel_D_vs_mpmath():
@@ -209,9 +214,9 @@ def test_kernel_D_derivs_order_cap():
 
 
 def test_kernel_D_derivs_batch_entry_independent_of_batch():
-    # each entry sizes its quadrature from its own |rho_lam| + |rho_mu|, so an
-    # entry computed alone equals its value in a batch whose other entries
-    # have a 10x-40x larger |rho|, or share its orders and its node count
+    # each entry's products are summed on their own, so an entry computed
+    # alone equals its value in a batch whose other entries have a 10x-40x
+    # larger |rho|, or share its orders
     x, lam, mu = 2.6, 2.0 + 0.5j, 3.0
     alone = kernel_D_derivs_batch(x, [lam], [1], [mu], [0])[0]
     for big in (30.0**2, 45.0**2 + 1j, 80.0**2):
@@ -307,12 +312,12 @@ def _norm(j, x, lam):
     return np.sqrt(x / 2 * np.sum(w * np.abs(phi_model(j, x / 2 * (t + 1), lam)) ** 2))
 
 
-def _worst_error(method, x, lam, mu):
-    """Largest error of method against kernel_D_derivs_batch over the orders
-    a, b <= 2 of clusters, relative to ||phi_a(lam)|| ||phi_b(mu)|| on [0, x]."""
+def _worst_error(method, x, lam, mu, reference=kernel_D_derivs_batch):
+    """Largest error of method against reference over the orders a, b <= 2
+    of clusters, relative to ||phi_a(lam)|| ||phi_b(mu)|| on [0, x]."""
     a, b = (o.ravel() for o in np.indices((3, 3)))
     got = method(x, np.full(9, lam, dtype=complex), a, np.full(9, mu, dtype=complex), b)
-    want = kernel_D_derivs_batch(x, np.full(9, lam), a, np.full(9, mu), b)
+    want = reference(x, np.full(9, lam), a, np.full(9, mu), b)
     return max(abs(g - w) / (_norm(i, x, lam) * _norm(j, x, mu))
                for g, w, i, j in zip(got, want, a, b))
 
@@ -338,6 +343,26 @@ def test_recurrence_threshold(x):
 
     assert _worst_error(_recurrence, x, lam, mu_at(RECURRENCE_SEPARATION)) <= 1e-13
     assert _worst_error(_recurrence, x, lam, mu_at(RECURRENCE_SEPARATION / 4)) > 5e-13
+
+
+def _mp_kernel_D_derivs(x, lams, a, mus, b):
+    """The entries of kernel_D_derivs_batch at real lams, mus as 50-digit
+    derivatives (1/a!)(1/b!) d^a_lam d^b_mu of _mp_D."""
+    with mpmath.workdps(50):
+        return [complex(mpmath.diff(lambda lm, mm: _mp_D(mpmath.mpf(x), lm, mm), (lm0, mm0), (i, j))
+                        / (mpmath.factorial(i) * mpmath.factorial(j)))
+                for lm0, i, mm0, j in zip(lams.real, a, mus.real, b)]
+
+
+@pytest.mark.parametrize("x", [0.3, 1.7, PI])
+def test_kernel_quadrature_matches_mpmath(x):
+    # near pairs of large poles, the entries only the quadrature serves, against
+    # an independent reference: the worst error measured was 1.6e-14 (5.3e-14
+    # with a rule sized per entry by x (|rho_lam| + |rho_mu|)), so 1e-13 holds
+    # with headroom
+    for lam in (400.0, 2500.0, 3600.0):
+        mu = lam * (1 + 1e-4) + 0.3
+        assert _worst_error(kernel_D_derivs_batch, x, lam, mu, _mp_kernel_D_derivs) <= 1e-13
 
 
 def test_kernel_series_matches_quadrature():

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from isturm import (ContourSpec, ModelData, Polynomial, ProblemL, SigmaStep,
-                    SigmaZero, choose_contour, dphi_K_dx, integrate_solution,
-                    invert_spectral_data, phi_K_of_lambda, reconstruct_r1,
-                    reconstruct_r2, reconstruct_sigma, sigma_l2_norm,
-                    solve_on_grid)
+from isturm import (ContourSpec, ModelData, choose_contour, dphi_K_dx, integrate_solution,
+                    invert_spectral_data, phi_K_of_lambda, reconstruct_r1, reconstruct_r2,
+                    reconstruct_sigma, sigma_l2_norm, solve_on_grid)
 from isturm.maineq import MainEquationContext
-from isturm.reconstruct import (default_lambda_samples, r1_contour_quadrature,
-                                r1_contour_residue, r2_contour_quadrature,
-                                r2_contour_residue, sigma_contour_quadrature,
-                                sigma_contour_residue)
+from isturm.reconstruct import default_lambda_samples
 from isturm.spectral import SpectralData
+from contour_oracle import worst_mismatch
 
 PI = np.pi
 
@@ -155,46 +151,26 @@ def test_reconstruct_r_model_fixed_point():
         assert np.max(np.abs(r2.as_array())) < 1e-10
 
 
-def _check_sigma_residue(data, contour):
-    _, table = data
-    for ix in (32, 80):
-        x = table.x_grid[ix]
-        res = sigma_contour_residue(table, contour, x)
-        quad = sigma_contour_quadrature(table, contour, x)
-        assert abs(res - quad) < 1e-6
-
-
 def test_contour_residue_vs_quadrature_sigma(perturbed20):
-    _check_sigma_residue(perturbed20, ContourSpec(4))
+    assert worst_mismatch(perturbed20[1], ContourSpec(4), ixs=(32, 80)) < 1e-6
 
 
 def test_contour_residue_vs_quadrature_sigma_clustered(clustered20):
-    _check_sigma_residue(clustered20[1], ContourSpec(1))
-
-
-def _check_r_residue(data, contour):
-    _, table = data
-    sig = reconstruct_sigma(table)
-    lam = contour.radius + 8.0 + 0.5j
-    res = r1_contour_residue(table, contour, lam)
-    quad = r1_contour_quadrature(table, contour, lam)
-    assert abs(res - quad) < 1e-6
-    res_q, res_b = r2_contour_residue(table, contour, lam, sig.sigma_pi_raw)
-    quad_q, quad_b = r2_contour_quadrature(table, contour, lam, sig.sigma_pi_raw)
-    assert abs(res_q - quad_q) < 1e-6
-    assert abs(res_b - quad_b) < 1e-6
+    assert worst_mismatch(clustered20[1][1], ContourSpec(1), ixs=(32, 80)) < 1e-6
 
 
 def test_contour_residue_vs_quadrature_r1_r2(perturbed20):
     # the r-integrands grow like exp(2 pi |Im rho|) on the circle, so the
     # 256-node match is meaningful only at small contour index
-    _check_r_residue(perturbed20, ContourSpec(3))
+    contour = ContourSpec(3)
+    assert worst_mismatch(perturbed20[1], contour, lam=contour.radius + 8.0 + 0.5j) < 1e-6
 
 
 def test_contour_residue_vs_quadrature_r1_r2_clustered(clustered20):
     # covers the t >= 1 principal-part terms (t = 2 for the triple); at
     # N >= 2 rounding on the circle swamps the triple's r2 term
-    _check_r_residue(clustered20[1], ContourSpec(1))
+    contour = ContourSpec(1)
+    assert worst_mismatch(clustered20[1][1], contour, lam=contour.radius + 8.0 + 0.5j) < 1e-6
 
 
 def test_prefit_rational_vanishes_at_model_poles():
