@@ -21,7 +21,9 @@ entries take the (lam - mu) recurrence of model.py or, near the diagonal, its
 double series for small poles and its 700-node Gauss-Legendre rule for large
 ones.  As d/dx D(x, lam, mu) = phi_model(x, lam) phi_model(x, mu),
 H' = psi_tilde v^T is rank one; the system carries v, and one LU solve with
-two right-hand sides gives psi and psi'.
+two right-hand sides gives psi and psi'.  The same column terms against the
+table give residue_weights, the one principal-part sum behind v and behind
+every residue sum of the sigma, r1 and r2 formulas (reconstruct.py).
 """
 from __future__ import annotations
 
@@ -125,13 +127,28 @@ class MainEquationContext:
             T[1:, c], dT[1:, c] = (t[1:] for t in _phi_tower(self.top, x, self.lam[c]))
         return T, dT, S
 
-    def g_vectors(self, x: float, table=None):
-        """G_j[k] = sum of the column terms alpha phi_model(dorder, x, lam_k) of
-        family j, so that d/dx of column k of block (i, j) is phi~_i(x) G_j[k]."""
-        T = (self._table(x) if table is None else table)[0]
-        G = np.zeros(2 * self.K, dtype=complex)
-        np.add.at(G, self.term_k, self.term_w * T[self.term_dord, self.term_k])
-        return G[:self.K], G[self.K:]
+    def residue_weights(self, x: float, lam=None, tower: int = 0, table=None):
+        """Per-pole weights W of the residue sums over the column terms, with
+        T = _table(x)[tower] (0: phi_model, 1: phi_model_dx).  Without lam,
+        W[k] = sum of alpha T[dorder, k] over the terms of column k: the
+        residues against the Weyl difference, and d/dx Q_(i,j) = phi~_i W_j^T.
+        With lam (any shape; poles on a new last axis), the residues against
+        M(mu) / (lam - mu): W[..., k] = sum alpha sum_{p <= dorder} T[p, k] /
+        (lam - lam_k)^(dorder - p + 1), the Leibniz expansion of
+        (1/dorder!) d^dorder_mu [T(x, mu) / (lam - mu)].  A residue sum over
+        both families is W[..., :K] @ v_0 - W[..., K:] @ v_1."""
+        T = (self._table(x) if table is None else table)[tower]
+        k, d = self.term_k, self.term_dord
+        if lam is None:
+            vals = T[d, k]
+        else:
+            inv = 1.0 / (np.asarray(lam, dtype=complex)[..., None] - self.lam[k])
+            vals = T[0, k] * inv
+            for p in range(1, self.top + 1):  # Horner over p, each term to its dorder
+                vals = np.where(d >= p, (vals + T[p, k]) * inv, vals)
+        W = np.zeros(vals.shape[:-1] + (2 * self.K,), dtype=complex)
+        np.add.at(W, (..., k), self.term_w * vals)
+        return W
 
     def _kernel(self, x, rows, row_table, table):
         """Cluster-corrected kernel matrix: entry (r, k) sums, over the terms of
@@ -168,16 +185,16 @@ class MainEquationContext:
         return [B[:, :self.K], B[:, self.K:]]
 
     def q_blocks(self, x: float):
-        """Q blocks at x, each (K, K), the vectors G_j of their x-derivatives
-        (d/dx Q_(i,j) = phi~_i G_j^T), and the model values phi~_i(x) with
-        their x-derivatives."""
+        """Q blocks at x, each (K, K), the residue weights W of their
+        x-derivatives (d/dx Q_(i,j) = phi~_i W_j^T, W_j the family-j half), and
+        the model values phi~_i(x) with their x-derivatives."""
         table = self._table(x)
         B = self._kernel(x, self._pole_rows, table, table)
         K = self.K
         Q = {(i, j): B[i * K:(i + 1) * K, j * K:(j + 1) * K] for i in (0, 1) for j in (0, 1)}
         pole = np.arange(2 * K)
         pt, dpt = table[0][self.order, pole], table[1][self.order, pole]
-        return Q, self.g_vectors(x, table), (pt[:K], dpt[:K], pt[K:], dpt[K:])
+        return Q, self.residue_weights(x, table=table), (pt[:K], dpt[:K], pt[K:], dpt[K:])
 
 
 def _transform(ctx: MainEquationContext, Qb):
@@ -193,7 +210,7 @@ def _transform(ctx: MainEquationContext, Qb):
 def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
     """Assemble psi_tilde(x) and H(x) (plus x-derivatives) at one grid point
     for the context's (data, model, K) triple."""
-    Q, (G0, G1), (pt0, dpt0, pt1, dpt1) = ctx.q_blocks(x)
+    Q, W, (pt0, dpt0, pt1, dpt1) = ctx.q_blocks(x)
     diff, ddiff = pt0 - pt1, dpt0 - dpt1
     # cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2): avoids cancellation when
     # the data pole sits close to its model partner
@@ -204,8 +221,8 @@ def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
                   + rd * np.sin(rs * x / 2) * np.cos(rd * x / 2))
     psi = np.column_stack((ctx.chi * diff, pt1)).ravel()
     dpsi = np.column_stack((ctx.chi * ddiff, dpt1)).ravel()
-    # dQ_(i,j) = phi~_i G_j^T, so the transform of dQ is psi_tilde v^T
-    v = np.column_stack((G0 * ctx.xi, G0 - G1)).ravel()
+    # dQ_(i,j) = phi~_i W_j^T, so the transform of dQ is psi_tilde v^T
+    v = np.column_stack((W[:ctx.K] * ctx.xi, W[:ctx.K] - W[ctx.K:])).ravel()
     return MainEquationSystem(K=ctx.K, x=float(x), psi_tilde=psi, H=_transform(ctx, Q),
                               dpsi_tilde=dpsi, v=v)
 

@@ -1,10 +1,13 @@
 """Reconstruction of (sigma, r1, r2) from the solved main-equation table.
 
 All contour integrals are evaluated as finite residue sums over the poles of
-the truncated Weyl difference; tests/contour_oracle.py checks them against
-trapezoid quadrature on the circle contour.  Every pole with flattened index
-<= K contributes exactly once, whether it falls inside the contour (residue
-block, with derivative terms for clusters) or beyond it (simple tail block).
+the truncated Weyl difference.  Every pole with flattened index <= K
+contributes exactly once, a cluster with its derivative terms: each sum is
+the pairing W[..., :K] @ v_0 - W[..., K:] @ v_1 of the per-pole weights
+MainEquationContext.residue_weights builds from the main equation's own
+column terms with the table values v_i of family i.  tests/contour_oracle.py
+checks the weights against a per-cluster loop and the sums against trapezoid
+quadrature on the circle contour.
 
 The sigma series converges in the mean-square sense only: at x = pi it has a
 measure-zero defect (it tends to sigma(pi) + 2 d, d the top coefficient of the
@@ -100,58 +103,21 @@ def dphi_K_dx(table: PhiTable, x: float, lam):
     """Exact x-derivative of phi^K(x, lam): differentiates both the kernel
     coefficients and the table values, no numerical differencing."""
     lam_s, shaped = lam_batch(lam)
+    ctx = table.ctx
     phi0, phi1, dphi0, dphi1 = _phi_values_at(table, x)
-    B0, B1 = table.ctx.kernel_columns(x, lam_s)
-    # dB[i][s, k] = phi_model(x, lam_s) * G_i[k]
-    G = table.ctx.g_vectors(x)
-    f0 = phi_model(0, x, lam_s)
-    return shaped(phi_model_dx(0, x, lam_s)
-                  - (f0 * (G[0] @ phi0) + B0 @ dphi0 - f0 * (G[1] @ phi1) - B1 @ dphi1))
+    B0, B1 = ctx.kernel_columns(x, lam_s)
+    # dB_i[s, k] = phi_model(x, lam_s) W[iK + k], W the residue weights at x
+    dB_phi = phi_model(0, x, lam_s) * _pairing(ctx, ctx.residue_weights(x),
+                                               np.column_stack((phi0, phi1)))
+    return shaped(phi_model_dx(0, x, lam_s) - (dB_phi + B0 @ dphi0 - B1 @ dphi1))
 
 
-# ---------------------------------------------------------------------------
-# The residue sum shared by the reconstruction formulas.
-
-
-_BOTH = ((0, 1.0), (1, -1.0))   # (family, sign): data poles minus model poles
-_DATA = ((0, 1.0),)
-
-
-def _residue_sum(ctx: MainEquationContext, fams, tower, x, values, lam=None,
-                 offset: float = 0.0, radius: float = np.inf):
-    """The residue sum behind every reconstruction formula.
-
-    For each cluster (head h, size m, pole lam_h, weights a_j) of the given
-    (family, sign) pairs with |lam_h| < radius, the principal-part
-    coefficients are
-
-        c_t = sum_{j>=t} a_j sum_{p<=j-t} tower(p, x, lam_h) values[h+j-t-p, fam],
-
-    with tower phi_model or phi_model_dx and values carrying the family on
-    axis 1.  Without lam the result is sum sign (c_0 - offset a_0), the
-    residues against hat M; with lam it is
-    sum sign sum_t c_t / (lam - lam_h)^(t+1), the residues against
-    M(mu) / (lam - mu).
-    """
-    total = 0j
-    for fam, sign in fams:
-        fam_sd = (ctx.sd, ctx.mds)[fam]
-        for h, m in zip(fam_sd.heads, fam_sd.sizes):
-            lam_h, alphas = complex(fam_sd.lam[h]), fam_sd.alpha[h:h + m]
-            if abs(lam_h) >= radius:
-                continue
-            phit = [tower(p, x, lam_h) for p in range(m)]
-            vals = values[h:h + m, fam]
-            for t in range(m if lam is not None else 1):
-                c = 0j
-                for j in range(t, m):
-                    c += alphas[j] * sum(phit[p] * vals[j - t - p]
-                                         for p in range(j - t + 1))
-                if lam is None:
-                    total += sign * (c - offset * alphas[0])
-                else:
-                    total += sign * c / (lam - lam_h) ** (t + 1)
-    return total
+def _pairing(ctx: MainEquationContext, W, values, offset: float = 0.0):
+    """Residue sum W[:K] . values[:, 0] - W[K:] . values[:, 1] of the weights
+    W = ctx.residue_weights(x) with values (family on axis 1), less offset times
+    the residues of the Weyl difference: the head alpha, data minus model."""
+    K, head = ctx.K, np.where(ctx.order == 0, ctx.alpha, 0)
+    return W[:K] @ values[:, 0] - W[K:] @ values[:, 1] - offset * (head[:K].sum() - head[K:].sum())
 
 
 @dataclass
@@ -166,10 +132,10 @@ class SigmaResult:
 
 def reconstruct_sigma(table: PhiTable) -> SigmaResult:
     """Residue form of the sigma series over all flattened poles n <= K."""
-    K = table.K
-    xs = table.x_grid
+    K, ctx, xs = table.K, table.ctx, table.x_grid
     n_x = len(xs)
-    raw = -2.0 * _residue_sum(table.ctx, _BOTH, phi_model, xs, table.phi, offset=0.5)
+    raw = -2.0 * np.array([_pairing(ctx, ctx.residue_weights(x), table.phi[:, :, ix], 0.5)
+                           for ix, x in enumerate(xs)])
 
     # endpoint repair: the series limit at pi carries a 2*d offset (d the top
     # padded coefficient of r2); extrapolate over the truncation bump
@@ -200,14 +166,6 @@ def _g_factor(ctx: MainEquationContext, lam_s: np.ndarray) -> np.ndarray:
         if k >= M1:
             out = out / (lam_s - lam1[k])
     return out
-
-
-def _bc_constant_sum(table: PhiTable) -> complex:
-    """S2 = sum over both families of alpha-weighted (phit phiK - 1) at pi.
-
-    The boundary constant of the Robin case is b0 = -S2."""
-    return complex(_residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, -1],
-                                offset=1.0))
 
 
 def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
@@ -270,8 +228,8 @@ def reconstruct_r1(table: PhiTable, contour: ContourSpec,
     """Monic degree-M1 polynomial from the product-times-sum expression
     1 - sum alpha phit'(pi) phiK(pi) / (lam - lam_k0), with cluster derivative
     terms, fitted and checked by _fit_r."""
-    coeffs, resid = _fit_r("r1", table, contour, lam_samples, lambda lam: 1.0 - _residue_sum(
-        table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam))
+    coeffs, resid = _fit_r("r1", table, contour, lam_samples, lambda lam: 1.0 - (
+        table.ctx.residue_weights(PI, lam, tower=1)[..., :table.K] @ table.phi[:, 0, -1]))
     lead = coeffs[-1]
     diag = {"fit_residual": resid, "leading_coeff_raw": complex(lead)}
     return Polynomial(coeffs / lead), diag
@@ -285,10 +243,12 @@ def reconstruct_r2(table: PhiTable, contour: ContourSpec,
     (reconstruct_sigma(table) when sigma is None)."""
     if sigma is None:
         sigma = reconstruct_sigma(table)
+    ctx = table.ctx
     quasi = _quasi_pi(table, sigma.sigma_pi_raw)
-    S2 = _bc_constant_sum(table)
-    coeffs, resid = _fit_r("r2", table, contour, lam_samples, lambda lam: _residue_sum(
-        table.ctx, _DATA, phi_model_dx, PI, quasi[:, None], lam=lam) - S2)
+    # S2, the residues of (phit phiK - 1) hatM at pi; the Robin boundary constant is -S2
+    S2 = complex(_pairing(ctx, ctx.residue_weights(PI), table.phi[:, :, -1], 1.0))
+    coeffs, resid = _fit_r("r2", table, contour, lam_samples, lambda lam: ctx.residue_weights(
+        PI, lam, tower=1)[..., :ctx.K] @ quasi - S2)
     diag = {"fit_residual": resid, "bc_constant": complex(-S2)}
     return Polynomial(coeffs), diag
 

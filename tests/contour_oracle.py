@@ -1,18 +1,64 @@
-"""Contour terms of the sigma, r1 and r2 formulas over a ContourSpec circle,
-each evaluated twice: by the package's residue sum over the poles inside it,
-and by the trapezoid rule on the circle from phi^K(x, lam) and the Weyl
-functions alone.  The two must agree to quadrature accuracy.
+"""Independent references for the residue sums of the sigma, r1 and r2
+formulas.
+
+residue_sum forms each sum cluster by cluster from the spectral data's heads
+and sizes, a per-cluster loop that shares nothing with the column terms of
+MainEquationContext.residue_weights, which the package evaluates instead.
+The contour terms over a ContourSpec circle are then evaluated twice: by
+residue_sum over the poles inside it, and by the trapezoid rule on the
+circle from phi^K(x, lam) and the Weyl functions alone.  The two must agree
+to quadrature accuracy.
 """
 import numpy as np
 
 from isturm import ContourSpec, dphi_K_dx, phi_K_of_lambda
 from isturm._util import phi_model, phi_model_dx, sqrt_lambda
 from isturm.maineq import MainEquationContext, PhiTable
-from isturm.reconstruct import _BOTH, _DATA, _node, _quasi_pi, _residue_sum, reconstruct_sigma
+from isturm.reconstruct import _node, _quasi_pi, reconstruct_sigma
 from isturm.spectral import _principal_part_sum
 
 PI = np.pi
 QUAD_NODES = 256        # trapezoid nodes of the contour quadrature cross-checks
+
+BOTH = ((0, 1.0), (1, -1.0))   # (family, sign): data poles minus model poles
+DATA = ((0, 1.0),)
+
+
+def residue_sum(ctx: MainEquationContext, fams, tower, x, values, lam=None,
+                offset: float = 0.0, radius: float = np.inf):
+    """The residue sum behind every reconstruction formula.
+
+    For each cluster (head h, size m, pole lam_h, weights a_j) of the given
+    (family, sign) pairs with |lam_h| < radius, the principal-part
+    coefficients are
+
+        c_t = sum_{j>=t} a_j sum_{p<=j-t} tower(p, x, lam_h) values[h+j-t-p, fam],
+
+    with tower phi_model or phi_model_dx and values carrying the family on
+    axis 1.  Without lam the result is sum sign (c_0 - offset a_0), the
+    residues against hat M; with lam it is
+    sum sign sum_t c_t / (lam - lam_h)^(t+1), the residues against
+    M(mu) / (lam - mu).
+    """
+    total = 0j
+    for fam, sign in fams:
+        fam_sd = (ctx.sd, ctx.mds)[fam]
+        for h, m in zip(fam_sd.heads, fam_sd.sizes):
+            lam_h, alphas = complex(fam_sd.lam[h]), fam_sd.alpha[h:h + m]
+            if abs(lam_h) >= radius:
+                continue
+            phit = [tower(p, x, lam_h) for p in range(m)]
+            vals = values[h:h + m, fam]
+            for t in range(m if lam is not None else 1):
+                c = 0j
+                for j in range(t, m):
+                    c += alphas[j] * sum(phit[p] * vals[j - t - p]
+                                         for p in range(j - t + 1))
+                if lam is None:
+                    total += sign * (c - offset * alphas[0])
+                else:
+                    total += sign * c / (lam - lam_h) ** (t + 1)
+    return total
 
 
 def weyl_difference_truncated(ctx: MainEquationContext, mu: np.ndarray) -> np.ndarray:
@@ -36,8 +82,8 @@ def sigma_contour_residue(table: PhiTable, contour: ContourSpec, x: float) -> co
     ix = _node(table, x)
     if ix is None:
         raise ValueError(f"x={x} is not a grid node")
-    total = _residue_sum(table.ctx, _BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
-                         radius=contour.radius)
+    total = residue_sum(table.ctx, BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5,
+                        radius=contour.radius)
     return complex(-2.0 * total)
 
 
@@ -57,8 +103,8 @@ def sigma_contour_quadrature(table: PhiTable, contour: ContourSpec, x: float) ->
 
 def r1_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex) -> complex:
     """-(1/2 pi i) oint phit'(pi) phiK(pi) M(mu) / (lam - mu) dmu as residues."""
-    total = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam,
-                         radius=contour.radius)
+    total = residue_sum(table.ctx, DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam,
+                        radius=contour.radius)
     return complex(-total)
 
 
@@ -75,11 +121,11 @@ def r2_contour_residue(table: PhiTable, contour: ContourSpec, lam: complex,
                        sigma_pi_raw: complex):
     """The two r2 contour terms as residue sums: (quasi-derivative integral
     against M, boundary integral against hatM)."""
-    t_quasi = _residue_sum(table.ctx, _DATA, phi_model_dx, PI,
-                           _quasi_pi(table, sigma_pi_raw)[:, None], lam=lam,
-                           radius=contour.radius)
-    t_bc = _residue_sum(table.ctx, _BOTH, phi_model, PI, table.phi[:, :, -1], offset=1.0,
-                        radius=contour.radius)
+    t_quasi = residue_sum(table.ctx, DATA, phi_model_dx, PI,
+                          _quasi_pi(table, sigma_pi_raw)[:, None], lam=lam,
+                          radius=contour.radius)
+    t_bc = residue_sum(table.ctx, BOTH, phi_model, PI, table.phi[:, :, -1], offset=1.0,
+                       radius=contour.radius)
     return complex(t_quasi), complex(-t_bc)
 
 

@@ -17,10 +17,10 @@ from isturm._util import phi_model_dx
 from isturm.maineq import MainEquationContext, build_system
 from isturm.model import EPS_D_BASE
 from isturm.problem import FullProblem, SigmaPolynomialInX
-from isturm.reconstruct import _DATA, _residue_sum, reconstruct_r1
+from isturm.reconstruct import reconstruct_r1
 from isturm.spectral import SpectralData
-from isturm.verify import coeff_error, roundtrip
-from contour_oracle import worst_mismatch
+from isturm.verify import coeff_error
+from contour_oracle import DATA, residue_sum, worst_mismatch
 from q_oracle import kernel_D_derivs
 
 PI = np.pi
@@ -228,7 +228,7 @@ def test_criterion_9_residue_vs_quadrature(poly60_inversion):
 def test_criterion_10_degree_reduction(poly60_inversion):
     prob, sd, md, ctx, table = poly60_inversion
     lam_n1 = md.spectral_data(60).lam[1:]  # n = 2..60 > M1
-    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_n1)
+    E = residue_sum(table.ctx, DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_n1)
     worst = float(np.max(np.abs(1.0 - E)))
     contour = choose_contour(ctx)
     _, diag = reconstruct_r1(table, contour)
@@ -296,7 +296,7 @@ def test_criterion_11_multiplicity_path():
     # with a data pole (the coincident terms are removable singularities)
     lam_n1 = md.spectral_data(K).lam
     clean = lam_n1[np.min(np.abs(lam_n1[:, None] - sd.lam[None, :]), axis=1) > 1e-6]
-    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=clean)
+    E = residue_sum(table.ctx, DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=clean)
     worst10 = float(np.max(np.abs(1.0 - E)))
     ok = count_ok and worst9 < 1e-6 and worst10 < 1e-6
     _report("criterion 11 (multiplicity path)", ok,

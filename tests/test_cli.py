@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from isturm import (ModelData, Polynomial, ProblemL, SigmaStep, SigmaZero, find_eigenvalues,
                     integrate_solution, problem_to_json)
@@ -328,6 +329,35 @@ def test_ambiguous_offset_exit_code(tmp_path):
     assert code == 4
     diag = json.loads((tmp_path / "diag.json").read_text())
     assert "error" in diag
+
+
+def test_case_m1_below_m2_end_to_end(tmp_path, capsys):
+    # sigma = 0, r1 = 1, r2 = lam + 0.7: deg r1 = deg r2 - 1, whose forward
+    # problem is solved and whose reconstruction is not implemented
+    def delta(lam):  # -rho sin(rho pi) + (lam + 0.7) cos(rho pi), real for real lam
+        if lam < 0:
+            s = np.sqrt(-lam)
+            return s * np.sinh(s * PI) + (lam + 0.7) * np.cosh(s * PI)
+        rho = np.sqrt(lam)
+        return -rho * np.sin(rho * PI) + (lam + 0.7) * np.cos(rho * PI)
+
+    grid = np.concatenate([np.linspace(-20.0, 0.0, 400), np.linspace(0.0, 12.0, 2000)[1:] ** 2])
+    vals = np.array([delta(g) for g in grid])
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[:12]
+    want = np.array([brentq(delta, grid[i], grid[i + 1], xtol=1e-15) for i in flips])
+    cfg = _write_problem(tmp_path / "problem.json", [1], [0.7, 1])
+    sd_path = tmp_path / "sd.json"
+    assert main(["forward", "--config", str(cfg), "--K", "12", "--out", str(sd_path)]) == 0
+    sd = spectral_data_from_json(json.loads(sd_path.read_text()))
+    assert sd.case == "M1=M2-1"
+    assert np.max(np.abs(sd.lam - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+    capsys.readouterr()
+    code = main(["invert", "--config", str(sd_path), "--K", "12", "--out",
+                 str(tmp_path / "rec.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "deg(r1) >= deg(r2)" in err
 
 
 def test_package_exports_are_the_public_api():

@@ -357,6 +357,34 @@ def test_unclosed_brackets_are_dropped_to_the_seeded_path(monkeypatch):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
 
+@pytest.mark.parametrize("fallback", ["certificate-fails", "no-seeded-roots"])
+def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
+    # a failed certificate moves its index and all below it into the low zone,
+    # which box subdivision resolves; with no seeded roots the whole master
+    # box is subdivided.  Both give the roots of the unpatched search.
+    prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
+    want = np.array([r.lam for r in find_eigenvalues(prob, 12, 512)])
+    rejected = []
+    if fallback == "certificate-fails":
+        plain = forward._winds_once
+
+        def reject_one(f, centers, radii):
+            ok = plain(f, centers, radii)
+            if not rejected:  # the first call certifies the seeded roots
+                rejected.append(len(ok) // 2)
+                ok[len(ok) // 2] = False
+            return ok
+        monkeypatch.setattr(forward, "_winds_once", reject_one)
+    else:
+        # list.append returns None: the seeded path never offers roots
+        monkeypatch.setattr(forward, "_seeded_roots", lambda *args: rejected.append(0))
+    eigs = find_eigenvalues(prob, 12, 512)
+    assert rejected
+    assert [r.multiplicity for r in eigs] == [1] * 12
+    got = np.array([r.lam for r in eigs])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
 def test_polish_simple_flat_secant_takes_no_step():
     # near r = 2 the function is a staircase, flat over the first secant pair
     # (z0 and z1 = z0 (1 + 1e-7) + 1e-7 give f0 == f1 != 0); like char_delta

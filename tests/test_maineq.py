@@ -16,17 +16,10 @@ from isturm.maineq import MainEquationContext, solve_at_x
 from isturm.model import RECURRENCE_SEPARATION
 from isturm.spectral import SpectralData
 from q_oracle import q_coefficients
+from spectral_cases import shifted_model_data
 
 PI = np.pi
 rng = np.random.default_rng(7)
-
-
-def _perturbed_data(K, shift=0.1):
-    md = ModelData(0)
-    base = md.spectral_data(K)
-    lam = base.lam.copy()
-    lam[0] = lam[0] + shift
-    return SpectralData.from_flat(lam, base.alpha), md
 
 
 def test_build_system_model_data_is_trivial():
@@ -43,7 +36,7 @@ def test_build_system_model_data_is_trivial():
 def test_build_system_matches_hand_assembly():
     # K = 2 with one perturbed pole: compare against entries assembled one by
     # one from q_coefficients and the transform definition
-    sd, md = _perturbed_data(2)
+    sd, md = shifted_model_data(2)
     x = 1.1
     xi, chi = xi_chi(sd, md)
     sys = build_system(MainEquationContext(sd, md), x)
@@ -168,7 +161,7 @@ def test_solve_system_identity_when_H_zero():
 
 def test_solve_system_scalar_case():
     # (1 + h) psi = psi~ with a 1x1 block structure faked through K=1
-    sd, md = _perturbed_data(1, shift=0.05)
+    sd, md = shifted_model_data(1, shift=0.05)
     sys = build_system(MainEquationContext(sd, md), 1.0)
     psi, _, _ = solve_system(sys)
     want = np.linalg.solve(np.eye(2) + sys.H, sys.psi_tilde)
@@ -177,7 +170,7 @@ def test_solve_system_scalar_case():
 
 def test_solve_system_vs_lu_oracle():
     # independent LU route on a well-conditioned random system
-    sd, md = _perturbed_data(5)
+    sd, md = shifted_model_data(5)
     sys = build_system(MainEquationContext(sd, md), 2.0)
     psi, _, _ = solve_system(sys)
     A = np.eye(10) + sys.H
@@ -197,7 +190,8 @@ def test_solve_system_dpsi_vs_explicit_solve():
     lam, alpha = base.lam.copy(), base.alpha.copy()
     lam[:2] = 0.3 + 0.5j
     alpha[:2] = [0.9 + 0.1j, 0.2 - 0.25j]
-    for (sd, md), x in [(_perturbed_data(5), 1.3), ((SpectralData.from_flat(lam, alpha), md), 2.6)]:
+    cases = [(shifted_model_data(5), 1.3), ((SpectralData.from_flat(lam, alpha), md), 2.6)]
+    for (sd, md), x in cases:
         sys = build_system(MainEquationContext(sd, md), x)
         psi, dpsi, _ = solve_system(sys)
         rhs = sys.dpsi_tilde - _hand_assembly(sd, md, x, deriv=True) @ psi
@@ -225,7 +219,7 @@ def test_condition_estimate_vs_exact(step_sd40):
     # number and, on these systems, within a factor of 10 of it
     _, step = step_sd40
     md0 = ModelData(0)
-    cases = [(_perturbed_data(K), x) for K in (1, 5, 8) for x in (0.3, 1.0, 2.0, PI)]
+    cases = [(shifted_model_data(K), x) for K in (1, 5, 8) for x in (0.3, 1.0, 2.0, PI)]
     cases += [((step, md0), x) for x in (PI / 3, PI / 2, 2.9)]
     cases += [((ModelData(1).spectral_data(8), ModelData(1)), 1.3)]
     for (sd, md), x in cases:
@@ -251,7 +245,7 @@ def test_solve_on_grid_restores_blas_threads(monkeypatch):
 def _check_blas_threads_restored(monkeypatch, handles):
     before = [get() for get, _ in handles]
     assert before == [3] * len(handles)
-    sd, md = _perturbed_data(4)
+    sd, md = shifted_model_data(4)
     seen = []
     real_solve = maineq.solve_system
 
@@ -281,7 +275,7 @@ def test_recover_phi_zero_xi():
 
 
 def test_phi_at_zero_is_one():
-    sd, md = _perturbed_data(6)
+    sd, md = shifted_model_data(6)
     ctx = MainEquationContext(sd, md, 6)
     p0, p1, _, _, _ = solve_at_x(ctx, 0.0)
     np.testing.assert_allclose(p0, np.ones(6), atol=1e-12)
@@ -299,7 +293,7 @@ def test_solve_on_grid_model_reproduces_cosines():
 
 
 def test_solve_on_grid_derivative_consistency():
-    sd, md = _perturbed_data(8)
+    sd, md = shifted_model_data(8)
     ctx = MainEquationContext(sd, md, 8)
     x0, h = 1.9, 1e-6
     p0, p1, d0, d1, _ = solve_at_x(ctx, x0)
@@ -310,7 +304,7 @@ def test_solve_on_grid_derivative_consistency():
 
 
 def test_solve_on_grid_self_convergence():
-    sd, md = _perturbed_data(40)
+    sd, md = shifted_model_data(40)
     t20 = solve_on_grid(sd.truncated(20), md, 20, n_x=33)
     t40 = solve_on_grid(sd, md, 40, n_x=33)
     diff = np.max(np.abs(t20.phi[:10, :, -1] - t40.phi[:10, :, -1]))

@@ -8,8 +8,8 @@ from isturm.errors import OrderTooHigh
 from isturm.maineq import MainEquationContext
 from isturm.model import (EPS_D_BASE, RECURRENCE_SEPARATION, SERIES_RADIUS, _kernel_D_recurrence,
                           _kernel_D_series, kernel_D_derivs_batch)
-from isturm.spectral import SpectralData
 from q_oracle import kernel_D_derivs, q_coefficients
+from spectral_cases import shifted_model_data
 
 PI = np.pi
 rng = np.random.default_rng(11)
@@ -260,11 +260,8 @@ def test_q_coefficients_diagonal_simple():
 def test_q_coefficients_vs_contour_quadrature():
     # independent oracle: residue of A(x, lam_ni, mu) at mu = lam_kj by circle
     # quadrature, one perturbed record
-    md = ModelData(0)
+    sd, md = shifted_model_data(8)
     base = md.spectral_data(8)
-    lam = base.lam.copy()
-    lam[0] = lam[0] + 0.1
-    sd = SpectralData.from_flat(lam, base.alpha)
     x = PI / 2
 
     def hatM(mu):

@@ -4,26 +4,20 @@ import pytest
 from isturm import (ContourSpec, ModelData, choose_contour, dphi_K_dx, integrate_solution,
                     invert_spectral_data, phi_K_of_lambda, reconstruct_r1, reconstruct_r2,
                     reconstruct_sigma, sigma_l2_norm, solve_on_grid)
+from isturm._util import phi_model, phi_model_dx
 from isturm.maineq import MainEquationContext
-from isturm.reconstruct import default_lambda_samples
+from isturm.reconstruct import _g_factor, _pairing, default_lambda_samples
 from isturm.spectral import SpectralData
-from contour_oracle import worst_mismatch
+from contour_oracle import BOTH, DATA, residue_sum, worst_mismatch
+from spectral_cases import shifted_model_data
 
 PI = np.pi
 
 
-def _perturbed(K, shift=0.1):
-    md = ModelData(0)
-    base = md.spectral_data(K)
-    lam = base.lam.copy()
-    lam[0] = lam[0] + shift
-    sd = SpectralData.from_flat(lam, base.alpha)
-    return sd, solve_on_grid(sd, md, K, n_x=129)
-
-
 @pytest.fixture(scope="module")
 def perturbed20():
-    return _perturbed(20)
+    sd, md = shifted_model_data(20)
+    return sd, solve_on_grid(sd, md, 20, n_x=129)
 
 
 def _clustered(K, m):
@@ -173,6 +167,51 @@ def test_contour_residue_vs_quadrature_r1_r2_clustered(clustered20):
     assert worst_mismatch(clustered20[1][1], contour, lam=contour.radius + 8.0 + 0.5j) < 1e-6
 
 
+class _Family:
+    """Stands in for ModelData with a given second family, so that both
+    families of a context carry clusters with higher-order alpha."""
+
+    def __init__(self, sd):
+        self.sd = sd
+
+    def spectral_data(self, K):
+        return self.sd.truncated(K)
+
+
+def _two_clusters(K, double, triple, scale):
+    # a double and a triple cluster among simple poles, with nonzero order-1
+    # alpha in both and order-2 alpha in the triple; every alpha times scale
+    lam = (np.arange(1, K + 1) + 0.3) ** 2 + 0j
+    alpha = np.full(K, 2 / PI, dtype=complex)
+    lam[1:3], alpha[1:3] = double, [0.7 + 0.2j, -0.3 + 0.4j]
+    lam[5:8], alpha[5:8] = triple, [0.9 - 0.1j, 0.25 + 0.3j, -0.15 + 0.05j]
+    sd = SpectralData.from_flat(lam, scale * alpha)
+    assert sorted(sd.sizes)[-2:] == [2, 3]
+    return sd
+
+
+@pytest.mark.parametrize("x", [0.0, 0.9, 2.4, PI])
+def test_residue_weights_match_cluster_loop(x):
+    # the context's per-pole weights against the oracle's per-cluster loop:
+    # both towers, both families and the data family alone, with and without lam
+    K = 12
+    ctx = MainEquationContext(_two_clusters(K, 2.1 + 0.4j, 6.3 - 0.5j, 1.0),
+                              _Family(_two_clusters(K, 0.0, 11.2 + 0.3j, 0.8 - 0.3j)), K)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(K, 2)) + 1j * rng.normal(size=(K, 2))
+    lam = np.array([3.7 + 1.1j, -2.5 + 0.2j, 40.0 - 3.0j])
+    for tower, fn in enumerate((phi_model, phi_model_dx)):
+        W = ctx.residue_weights(x, tower=tower)
+        WL = ctx.residue_weights(x, lam, tower=tower)
+        pairs = [(_pairing(ctx, W, values, 0.7),
+                  residue_sum(ctx, BOTH, fn, x, values, offset=0.7)),
+                 (WL[:, :K] @ values[:, 0] - WL[:, K:] @ values[:, 1],
+                  residue_sum(ctx, BOTH, fn, x, values, lam=lam)),
+                 (WL[:, :K] @ values[:, 0], residue_sum(ctx, DATA, fn, x, values, lam=lam))]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-13
+
+
 def test_prefit_rational_vanishes_at_model_poles():
     # lem:degree mechanism: E1(lam_n1) = 0 with the solved phi^K values; all
     # data poles are shifted so the evaluation points stay off the spectrum
@@ -182,10 +221,8 @@ def test_prefit_rational_vanishes_at_model_poles():
     lam = base.lam + 0.2 / np.arange(1, K + 1)
     sd = SpectralData.from_flat(lam, base.alpha)
     table = solve_on_grid(sd, md, K, n_x=65)
-    from isturm._util import phi_model_dx
-    from isturm.reconstruct import _DATA, _residue_sum
     lam_n1 = md.spectral_data(K).lam[1:12]
-    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_n1)
+    E = residue_sum(table.ctx, DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=lam_n1)
     assert np.max(np.abs(1.0 - E)) < 1e-6
 
 
@@ -198,9 +235,7 @@ def test_fit_heldout_validation(poly_sd40):
     samples = default_lambda_samples(ctx, contour, count=24)
     r1, diag = reconstruct_r1(table, contour, lam_samples=samples[::2])
     held = samples[1::2]
-    from isturm._util import phi_model_dx
-    from isturm.reconstruct import _DATA, _g_factor, _residue_sum
-    E = _residue_sum(table.ctx, _DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=held)
+    E = residue_sum(table.ctx, DATA, phi_model_dx, PI, table.phi[:, :, -1], lam=held)
     vals = _g_factor(ctx, held) * (1.0 - E)
     resid_held = np.max(np.abs(np.polyval(r1.as_array()[::-1], held) - vals)) \
         / max(np.max(np.abs(vals)), 1e-9)

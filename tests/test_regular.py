@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from isturm import (FullProblem, ModelData, Polynomial, ProblemL,
-                    SigmaPolynomialInX, SigmaZero, choose_contour, estimate_bN2,
-                    forward_spectral_data, reconstruct_r2, reconstruct_sigma,
-                    solve_on_grid, weyl_M1)
+from isturm import (ModelData, Polynomial, ProblemL, SigmaPolynomialInX, SigmaZero,
+                    choose_contour, estimate_bN2, forward_spectral_data, reconstruct_r2,
+                    reconstruct_sigma, solve_on_grid, weyl_M1)
 from isturm.errors import FitUnstable
 from isturm.refine import recover_q, smooth_grid
 from isturm.regular import check_r2_shift
