@@ -5,7 +5,8 @@ The spectral parameter enters everything through rho = sqrt(lambda) with the
 branch fixed to arg rho in [-pi/2, pi/2).  Model quantities reduce to the
 Taylor coefficients in lambda of cos(sqrt(lambda) x), which are entire; they
 are evaluated through the scaled tower c_j(w) = (1/j!) (d/dw)^j cos(sqrt(w))
-so that no branch or 0/0 issues arise at lambda = 0.
+so that no branch or 0/0 issues arise at lambda = 0; they are real for real
+input and complex for complex input.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ _C_CLOSED = (
 
 def _series_powers(w):
     """w^0 .. w^15 on a new first axis, by repeated squaring."""
-    p = np.ones((_C_SERIES_TERMS,) + np.shape(w), dtype=complex)
+    p = np.ones((_C_SERIES_TERMS,) + np.shape(w), dtype=np.result_type(w, float))
     for k in (1, 2, 4, 8):
         p[k:2 * k] = p[:k] * w
         w = w * w
@@ -73,31 +74,32 @@ def _series_powers(w):
 
 def _c_series(j, w):
     # sum_{m >= j} (-1)^m C(m, j) w^(m-j) / (2m)! for an order j or a slice of
-    # orders, as one real matrix product on the re and im parts of the powers
-    p = _series_powers(w).reshape(_C_SERIES_TERMS, -1).view(float)
-    return (_C_COEF[j] @ p).view(complex).reshape(np.shape(_C_COEF[j])[:-1] + np.shape(w))
+    # orders, as one real matrix product (on the re and im parts of complex powers)
+    p = _series_powers(w).reshape(_C_SERIES_TERMS, -1)
+    return (_C_COEF[j] @ p.view(float)).view(p.dtype).reshape(np.shape(_C_COEF[j])[:-1] + w.shape)
 
 
 def cos_sqrt_taylor(j, w):
     """c_j(w) for an order 0 <= j <= 4, or for a slice of orders stacked on a
-    new first axis; w complex array.  The series where |w| <= 4, the closed
+    new first axis; w float or complex.  The series where |w| <= 4, the closed
     forms elsewhere."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty(np.shape(_C_COEF[j])[:-1] + w.shape, dtype=complex)
+    w = np.asarray(w)
+    w = w.astype(np.result_type(w, float), copy=False)
+    out = np.empty(np.shape(_C_COEF[j])[:-1] + w.shape, dtype=w.dtype)
     series = np.abs(w) <= 4.0
     out[..., series] = _c_series(j, w[series])
-    s = np.sqrt(w[~series])  # branch-irrelevant: the closed forms are even in s
+    s = np.sqrt(w[~series].astype(complex))  # any branch: the closed forms are even in s
     sn, cs = np.sin(s), np.cos(s)
     f = _C_CLOSED[j]
-    out[..., ~series] = [g(s, sn, cs) for g in f] if isinstance(j, slice) else f(s, sn, cs)
+    vals = np.array([g(s, sn, cs) for g in f]) if isinstance(j, slice) else f(s, sn, cs)
+    out[..., ~series] = vals if np.iscomplexobj(out) else vals.real
     return out
 
 
 def phi_model(j, x, lam):
     """(1/j!) d^j/dlam^j cos(sqrt(lam) x); entire in lam, valid at lam = 0."""
     x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=complex)
-    return x ** (2 * j) * cos_sqrt_taylor(j, lam * x * x)
+    return x ** (2 * j) * cos_sqrt_taylor(j, np.asarray(lam) * x * x)
 
 
 def _phi_tower(top, x, lam):
@@ -110,7 +112,7 @@ def _phi_tower(top, x, lam):
 
 def phi_model_dx(j, x, lam):
     """x-derivative of phi_model(j, x, lam) at a scalar x."""
-    lam = np.asarray(lam, dtype=complex)
+    lam = np.asarray(lam)
     return _phi_tower(j, float(x), lam.ravel())[1][j].reshape(lam.shape)
 
 

@@ -601,7 +601,7 @@ def weight_numbers(prob: ProblemL, eigs: list[EigenRecord],
     at lam.  Both are entire, so the Cauchy integrals over the same samples
     give it as mean(psi(0)) / mean(psi^[1](0) / (z - lam)); it agrees with
     the circle to rounding only when lam is a root and the circle holds no
-    other pole."""
+    other pole.  At a real lam of a real problem alpha is exactly real."""
     lam_c = np.array([r.lam for r in eigs], dtype=complex)
     th = np.exp(2j * PI * (np.arange(_N_QUAD) + 0.5) / _N_QUAD)
 
@@ -620,6 +620,8 @@ def weight_numbers(prob: ProblemL, eigs: list[EigenRecord],
         dz = z[k] - lam_c[k]  # the offsets of the samples as rounded
         alphas = [complex(np.mean(y0[k] / yq0[k] * dz ** (j + 1)))
                   for j in range(rec.multiplicity)]
+        if prob.is_real and rec.lam.imag == 0:
+            alphas = [complex(a.real) for a in alphas]
         if rec.multiplicity == 1:
             alt = np.mean(y0[k]) / np.mean(yq0[k] / dz)
             if abs(alt - alphas[0]) > 1e-8 * max(1.0, abs(alphas[0])):

@@ -12,6 +12,12 @@ which turns the conditionally convergent raw system into an absolutely
 bounded one.  The x-derivative of the solution obeys the differentiated
 system (E + H) psi' = psi_tilde' - H' psi.
 
+Real data (every lam and alpha of data and model real) runs the same code in
+float64 with LAPACK's d-routines, else complex128.  There a pole lam < 0 has
+rho = -i|rho|; the context keeps |rho| and forms cosh/sinh(|rho| x) for
+cos(rho x), rho sin(rho x) and the plain-row differences; a near pair of mixed
+signs has m = -conj(p), so sinc(p x) + sinc(m x) = 2 Re sinc(p x).
+
 Each node reads one table: cos/sin(rho x) at the 2K poles and, at clustered
 poles, the towers phi_model/phi_model_dx.  The order-0 kernel is
 (rho S (x) C - C (x) rho S) times the x-free Cauchy matrix 1/(lam - mu),
@@ -36,7 +42,8 @@ from ._blas import single_thread
 from ._util import _phi_tower, sqrt_lambda
 from .errors import Singular
 from .model import (EPS_D_BASE, RECURRENCE_SEPARATION, SERIES_RADIUS, ModelData,
-                    _kernel_D_recurrence, _kernel_D_series, kernel_D, kernel_D_derivs_batch)
+                    _kernel_D_pm, _kernel_D_recurrence, _kernel_D_series, _sinc,
+                    kernel_D_derivs_batch)
 from .spectral import SpectralData
 
 PI = np.pi
@@ -63,6 +70,7 @@ class MainEquationSystem:
     H: np.ndarray               # (2K, 2K)
     dpsi_tilde: np.ndarray      # x-derivatives, same layout
     v: np.ndarray               # (2K,), H' = psi_tilde v^T
+    weights: np.ndarray | None = None  # residue_weights(x), which v is built from
 
 
 class MainEquationContext:
@@ -79,49 +87,56 @@ class MainEquationContext:
 
         fam_sds = (sd, mds)
         heads = [np.repeat(f.heads, f.sizes) for f in fam_sds]
-        self.lam = np.concatenate([f.lam[h] for f, h in zip(fam_sds, heads)])
-        self.rho = sqrt_lambda(self.lam)
-        self.alpha = np.concatenate([sd.alpha, mds.alpha])
+        lam = np.concatenate([f.lam[h] for f, h in zip(fam_sds, heads)])
+        alpha = np.concatenate([sd.alpha, mds.alpha])
+        real = not (lam.imag.any() or alpha.imag.any())
+        self.dtype, rho = np.dtype(float if real else complex), sqrt_lambda(lam)
+        self.lam, self.alpha, self.rho = ((lam.real, alpha.real, np.abs(rho)) if real
+                                          else (lam, alpha, rho))
+        self.neg = (lam.real < 0) & real
         self.order = np.concatenate([np.arange(K) - h for h in heads])
-        terms = [(off + h + jk, jp - jk, f.alpha[h + jp])
+        terms = [(off + h + jk, jp - jk, off + h + jp)
                  for off, f in ((0, sd), (K, mds)) for h, m in zip(f.heads, f.sizes)
                  for jk in range(m) for jp in range(jk, m) if f.alpha[h + jp] != 0]
-        self.term_k, self.term_dord = (np.array([t[i] for t in terms], dtype=int) for i in (0, 1))
-        self.term_w = np.array([t[2] for t in terms], dtype=complex)
+        self.term_k, self.term_dord, term_a = np.array(terms, dtype=int).reshape(-1, 3).T
+        self.term_w = self.alpha[term_a]
         self.special = np.isin(np.arange(2 * K), self.term_k[self.term_dord >= 1])
         self.clustered = np.concatenate([np.repeat(f.sizes, f.sizes) for f in fam_sds]) > 1
         self.top = int(max(self.order.max(), self.term_dord.max(initial=0)))
-        self._pole_rows = self._rows(self.lam, self.rho, self.order)
-        # rows where both families are simple, and their rho_0 +- rho_1; as
-        # rho_1 >= 0 and Re rho_0 >= 0, |rho_0 + rho_1| >= |rho_0 - rho_1|,
-        # and the difference is formed without cancellation
-        self.plain_rows = ~self.clustered[:K] & ~self.clustered[K:]
-        rs = sd.rho + mds.rho
-        self.rho_pm = (rs, (sd.lam - mds.lam) / np.where(rs == 0, 1.0, rs))
+        self._pole_rows = self._rows(self.lam, rho, self.order)
+        # rows where both families are simple (plain_neg: a real data pole < 0),
+        # and rho_0 +- rho_1, the difference as a quotient: |rho_0 + rho_1| >= |rho_0 - rho_1|
+        simple = ~self.clustered[:K] & ~self.clustered[K:]
+        pl, self.plain_neg = (np.flatnonzero(simple & s) for s in (~self.neg[:K], self.neg[:K]))
+        rs = self.rho[pl] + self.rho[K + pl]
+        self.plain = (pl, rs, (self.lam[pl] - self.lam[K + pl]) / np.where(rs == 0, 1.0, rs))
 
     def _rows(self, lam_r, rho_r, order_r):
         """x-free part of a kernel matrix: the Cauchy matrix 1/(lam_r - lam_k)
         (1 at lam_r = lam_k), the near pairs |lam_r - lam_k| <= EPS_D_BASE
-        (1 + |rho_r| + |rho_k|)^2 where its product with the table cancels,
-        and the general entries (rows of order >= 1 or special columns), one
-        per term of their column."""
+        (1 + |rho_r| + |rho_k|)^2 where its product cancels, with kernel_D's p and
+        m, and the general entries (rows of order >= 1 or special columns), one per term."""
         dd = lam_r[:, None] - self.lam[None, :]
         near = np.abs(dd) <= EPS_D_BASE * (1 + np.abs(rho_r)[:, None] + np.abs(self.rho)) ** 2
+        nr, nk = np.nonzero(near)
         general = (order_r[:, None] >= 1) | self.special[None, :]
         ns, t = np.nonzero(general[:, self.term_k])  # entry order, then term order
         ks = self.term_k[t]
         return {"lam": lam_r, "cauchy": 1.0 / np.where(dd == 0, 1.0, dd),
-                "near": np.nonzero(near), "general": general, "ns": ns, "ks": ks,
+                "near": (nr, nk), "pm": _kernel_D_pm(lam_r[nr], self.lam[nk]),
+                "general": general, "ns": ns, "ks": ks,
                 "a": order_r[ns], "b": self.term_dord[t], "w": self.term_w[t],
                 "sep": np.abs(dd[ns, ks]), "rsum": np.abs(rho_r[ns]) + np.abs(self.rho[ks]),
                 "big": np.maximum(np.abs(lam_r[ns]), np.abs(self.lam[ks]))}
 
     def _table(self, x: float):
         """phi_model and phi_model_dx of orders 0..top at the 2K poles (orders
-        >= 1 only at clustered poles, zero elsewhere), and sin(rho x)."""
-        S = np.sin(self.rho * x)
-        T, dT = np.zeros((2, self.top + 1, 2 * self.K), dtype=complex)
-        T[0], dT[0] = np.cos(self.rho * x), -self.rho * S
+        >= 1 only at clustered poles, zero elsewhere), and S: rho S = rho sin(rho x)."""
+        a, n = self.rho * x, self.neg
+        S, C = np.sin(a), np.cos(a)
+        S[n], C[n] = -np.sinh(a[n]), np.cosh(a[n])
+        T, dT = np.zeros((2, self.top + 1, 2 * self.K), dtype=self.dtype)
+        T[0], dT[0] = C, -self.rho * S
         if self.top:
             c = self.clustered
             T[1:, c], dT[1:, c] = (t[1:] for t in _phi_tower(self.top, x, self.lam[c]))
@@ -146,7 +161,7 @@ class MainEquationContext:
             vals = T[0, k] * inv
             for p in range(1, self.top + 1):  # Horner over p, each term to its dorder
                 vals = np.where(d >= p, (vals + T[p, k]) * inv, vals)
-        W = np.zeros(vals.shape[:-1] + (2 * self.K,), dtype=complex)
+        W = np.zeros(vals.shape[:-1] + (2 * self.K,), dtype=vals.dtype)
         np.add.at(W, (..., k), self.term_w * vals)
         return W
 
@@ -156,14 +171,15 @@ class MainEquationContext:
         Near pairs take kernel_D; a general entry takes the recurrence at delta >=
         RECURRENCE_SEPARATION, else the series in SERIES_RADIUS, else quadrature."""
         (Tr, dTr), (T, dT, S) = row_table[:2], table
-        D = (-dTr[0][:, None] * T[0][None, :]
-             - Tr[0][:, None] * self.rho[None, :] * S[None, :]) * rows["cauchy"]
-        nr, nk = rows["near"]
-        D[nr, nk] = kernel_D(x, rows["lam"][nr], self.lam[nk])
-        B = D * self.alpha[None, :]
+        B = np.multiply.outer(-dTr[0], T[0])
+        B -= np.multiply.outer(Tr[0], self.rho) * S
+        B *= rows["cauchy"]
+        near = (x / 2) * sum(_sinc(pm * x) for pm in rows["pm"])
+        B[rows["near"]] = near if np.iscomplexobj(B) else near.real
+        B *= self.alpha
         ns, ks, a, b = rows["ns"], rows["ks"], rows["a"], rows["b"]
         if ns.size:
-            vals = np.empty(ns.size, dtype=complex)
+            vals = np.empty(ns.size, dtype=B.dtype)
             far = rows["sep"] * x * x >= RECURRENCE_SEPARATION * (1 + x * rows["rsum"])
             small = ~far & (rows["big"] * x * x <= SERIES_RADIUS)
             f, s, q = np.flatnonzero(far), np.flatnonzero(small), np.flatnonzero(~far & ~small)
@@ -201,7 +217,7 @@ def _transform(ctx: MainEquationContext, Qb):
     """[[chi, -chi], [0, 1]] Q [[xi, 1], [0, -1]] assembled interleaved."""
     chi, xi = ctx.chi[:, None], ctx.xi[None, :]
     d00, d01 = Qb[(0, 0)] - Qb[(1, 0)], Qb[(0, 1)] - Qb[(1, 1)]
-    H = np.empty((2 * ctx.K, 2 * ctx.K), dtype=complex)
+    H = np.empty((2 * ctx.K, 2 * ctx.K), dtype=ctx.dtype)
     H[0::2, 0::2], H[0::2, 1::2] = chi * d00 * xi, chi * (d00 - d01)
     H[1::2, 0::2], H[1::2, 1::2] = Qb[(1, 0)] * xi, Qb[(1, 0)] - Qb[(1, 1)]
     return H
@@ -209,22 +225,25 @@ def _transform(ctx: MainEquationContext, Qb):
 
 def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
     """Assemble psi_tilde(x) and H(x) (plus x-derivatives) at one grid point
-    for the context's (data, model, K) triple."""
+    for the context's (data, model, K) triple, in the context's dtype."""
     Q, W, (pt0, dpt0, pt1, dpt1) = ctx.q_blocks(x)
     diff, ddiff = pt0 - pt1, dpt0 - dpt1
     # cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2): avoids cancellation when
     # the data pole sits close to its model partner
-    pl = ctx.plain_rows
-    rs, rd = (r[pl] for r in ctx.rho_pm)
-    diff[pl] = -2.0 * np.sin(rs * x / 2) * np.sin(rd * x / 2)
-    ddiff[pl] = -(rs * np.cos(rs * x / 2) * np.sin(rd * x / 2)
-                  + rd * np.sin(rs * x / 2) * np.cos(rd * x / 2))
-    psi = np.column_stack((ctx.chi * diff, pt1)).ravel()
-    dpsi = np.column_stack((ctx.chi * ddiff, dpt1)).ravel()
-    # dQ_(i,j) = phi~_i W_j^T, so the transform of dQ is psi_tilde v^T
-    v = np.column_stack((W[:ctx.K] * ctx.xi, W[:ctx.K] - W[ctx.K:])).ravel()
-    return MainEquationSystem(K=ctx.K, x=float(x), psi_tilde=psi, H=_transform(ctx, Q),
-                              dpsi_tilde=dpsi, v=v)
+    (pl, rs, rd), ng, K = ctx.plain, ctx.plain_neg, ctx.K
+    ss, sd, cs, cd = np.sin(rs * x / 2), np.sin(rd * x / 2), np.cos(rs * x / 2), np.cos(rd * x / 2)
+    diff[pl] = -2.0 * ss * sd
+    ddiff[pl] = -(rs * cs * sd + rd * ss * cd)
+    a, b = ctx.rho[ng], ctx.rho[K + ng]
+    diff[ng] = 2.0 * (np.sinh(a * x / 2) ** 2 + np.sin(b * x / 2) ** 2)
+    ddiff[ng] = a * np.sinh(a * x) + b * np.sin(b * x)
+    # interleaved; dQ_(i,j) = phi~_i W_j^T, so the transform of dQ is psi_tilde v^T
+    psi, dpsi, v = np.empty((3, 2 * K), dtype=ctx.dtype)
+    psi[0::2], psi[1::2] = ctx.chi * diff, pt1
+    dpsi[0::2], dpsi[1::2] = ctx.chi * ddiff, dpt1
+    v[0::2], v[1::2] = W[:K] * ctx.xi, W[:K] - W[K:]
+    return MainEquationSystem(K=K, x=float(x), psi_tilde=psi, H=_transform(ctx, Q),
+                              dpsi_tilde=dpsi, v=v, weights=W)
 
 
 def solve_system(system: MainEquationSystem):
@@ -235,25 +254,25 @@ def solve_system(system: MainEquationSystem):
     system (E + H) dpsi = psi_tilde' - H' psi has dpsi = y - (v . psi) psi.
 
     The condition number is LAPACK's 1-norm estimate from the LU factors
-    (zgecon: Hager's method as refined by Higham), a lower bound on the exact
-    ||A||_1 ||A^-1||_1 that is O(n^2) instead of an explicit inverse.  An
-    estimate above COND_LIMIT raises Singular."""
-    K = system.K
-    A = np.eye(2 * K, dtype=complex) + system.H
-    lu, piv, info = scipy.linalg.lapack.zgetrf(A)
+    (dgecon or zgecon by dtype: Hager's method as refined by Higham), a lower
+    bound on the exact ||A||_1 ||A^-1||_1 that is O(n^2) instead of an explicit
+    inverse.  An estimate above COND_LIMIT raises Singular."""
+    rhs = np.column_stack((system.psi_tilde, system.dpsi_tilde))
+    A = system.H.astype(np.result_type(system.H, rhs))
+    A.flat[::len(A) + 1] += 1.0
+    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), (A,))
+    lu, piv, info = getrf(A)
     rcond = 0.0
     if info == 0:
-        rcond, _ = scipy.linalg.lapack.zgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
+        rcond, _ = gecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
     cond = float(1.0 / rcond) if rcond > 0 else np.inf  # rcond may be nan
     if cond > COND_LIMIT:
         raise Singular(f"main-equation matrix condition {cond:.3g} at x={system.x:.4f}")
-    rhs = np.column_stack((system.psi_tilde, system.dpsi_tilde))
-    psi, y = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False).T
+    psi, y = getrs(lu, piv, rhs)[0].T
     resid = np.max(np.abs(A @ psi - system.psi_tilde))
     scale = max(np.max(np.abs(system.psi_tilde)), 1e-30)
     if resid > 1e-10 * scale:
-        psi = psi + scipy.linalg.lu_solve((lu, piv), system.psi_tilde - A @ psi,
-                                          check_finite=False)
+        psi = psi + getrs(lu, piv, system.psi_tilde - A @ psi)[0]
         resid = np.max(np.abs(A @ psi - system.psi_tilde))
         if resid > 1e-10 * scale:
             raise Singular(f"residual {resid:.3g} did not meet tolerance at x={system.x:.4f}")
@@ -277,6 +296,7 @@ class PhiTable:
     phi: np.ndarray             # (K, 2, n_x)
     dphi: np.ndarray            # (K, 2, n_x)
     cond: np.ndarray            # (n_x,)
+    weights: np.ndarray         # (n_x, 2K): ctx.residue_weights(x) at each node
     ctx: MainEquationContext
 
     @property
@@ -300,20 +320,21 @@ def solve_on_grid(sd: SpectralData, md: ModelData, K: int, n_x: int = 512,
     ctx, when given, must be MainEquationContext(sd, md, K); the returned
     table carries it.  The loop runs with OpenBLAS on one thread (see
     _blas.single_thread); the previous thread counts are restored when it
-    ends or raises."""
+    ends or raises.  The table's arrays have the context's dtype."""
     if ctx is None:
         ctx = MainEquationContext(sd, md, K)
     xs = np.linspace(0.0, PI, n_x)
-    phi = np.empty((ctx.K, 2, n_x), dtype=complex)
-    dphi = np.empty((ctx.K, 2, n_x), dtype=complex)
+    phi, dphi = np.empty((2, ctx.K, 2, n_x), dtype=ctx.dtype)
+    weights = np.empty((n_x, 2 * ctx.K), dtype=ctx.dtype)
     cond = np.empty(n_x)
     with single_thread():
         for ix in range(n_x):
             try:
-                p0, p1, d0, d1, c = solve_at_x(ctx, float(xs[ix]))
+                system = build_system(ctx, float(xs[ix]))
+                psi, dpsi, cond[ix] = solve_system(system)
+                weights[ix] = system.weights
             except Singular as exc:
                 raise Singular(f"{exc} (grid node {ix})") from exc
-            phi[:, 0, ix], phi[:, 1, ix] = p0, p1
-            dphi[:, 0, ix], dphi[:, 1, ix] = d0, d1
-            cond[ix] = c
-    return PhiTable(x_grid=xs, phi=phi, dphi=dphi, cond=cond, ctx=ctx)
+            phi[:, 0, ix], phi[:, 1, ix] = recover_phi(psi, ctx.xi)
+            dphi[:, 0, ix], dphi[:, 1, ix] = recover_phi(dpsi, ctx.xi)
+    return PhiTable(x_grid=xs, phi=phi, dphi=dphi, cond=cond, weights=weights, ctx=ctx)

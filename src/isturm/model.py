@@ -10,7 +10,8 @@ has eigenvalues (n - M1 - 1)^2 padded with an (M1+1)-fold zero, weight numbers
 
 carries the whole inverse machinery; kernel_D evaluates the last form, which
 has no cancellation at lam = mu; principal-part coefficients of
-D(x, lam, mu) * (Weyl difference)(mu) give the system coefficients Q.
+D(x, lam, mu) * (Weyl difference)(mu) give the system coefficients Q.  The
+kernel derivatives of clusters are real for real lam and mu.
 """
 from __future__ import annotations
 
@@ -71,20 +72,25 @@ def kernel_D(x, lam, mu):
     (lam - mu) / larger, so neither cancels near the diagonal; larger = 0 only
     at lam = mu = 0.  The square roots run on the unbroadcast inputs; the sines
     are (n, m) in an outer call kernel_D(x, lam[:, None], mu[None, :])."""
-    lam, mu = np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex)
-    rl, rm = sqrt_lambda(lam), sqrt_lambda(mu)
-    p, m = rl + rm, rl - rm
-    big = np.where(np.abs(p) >= np.abs(m), p, m)
-    small = (lam - mu) / np.where(big == 0, 1.0, big)
-    out = (x / 2) * (_sinc(big * x) + _sinc(small * x))
+    p, m = _kernel_D_pm(lam, mu)
+    out = (x / 2) * (_sinc(p * x) + _sinc(m * x))
     if out.shape == ():
         return complex(out)
     return out
 
 
+def _kernel_D_pm(lam, mu):
+    """kernel_D's p and m: the larger formed directly, the other as (lam - mu) / larger."""
+    lam, mu = np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex)
+    rl, rm = sqrt_lambda(lam), sqrt_lambda(mu)
+    p, m = rl + rm, rl - rm
+    big = np.where(np.abs(p) >= np.abs(m), p, m)
+    return big, (lam - mu) / np.where(big == 0, 1.0, big)
+
+
 def _sinc(z):
     """sin(z) / z, 1 at z = 0."""
-    return np.where(z == 0, 1.0, np.sin(z) / np.where(z == 0, 1.0, z))
+    return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0)
 
 
 @functools.cache
@@ -100,11 +106,10 @@ def kernel_D_derivs_batch(x, lams, j_lams, mus, j_mus):
     tests/test_model.py against 50-digit derivatives of kernel_D's closed form,
     and its products are summed on their own, so its value does not depend on
     the batch.  Orders above MAX_DERIV_ORDER raise OrderTooHigh."""
-    lams = np.asarray(lams, dtype=complex)
-    mus = np.asarray(mus, dtype=complex)
+    lams, mus = np.asarray(lams), np.asarray(mus)
     j_lams = np.asarray(j_lams, dtype=int)
     j_mus = np.asarray(j_mus, dtype=int)
-    out = np.zeros(lams.shape, dtype=complex)
+    out = np.zeros(lams.shape, dtype=np.result_type(lams, mus, float))
     if lams.size == 0:
         return out
     if max(j_lams.max(), j_mus.max()) > MAX_DERIV_ORDER:
@@ -129,7 +134,7 @@ def _kernel_D_recurrence(tl, dtl, tm, dtm, inv, j_lams, j_mus):
     lam, tm, dtm at its mu; inv = 1/(lam - mu)."""
     # D[a + 1, b + 1] is D_{a,b}; the zero first row and column are D_{-1,b}, D_{a,-1}
     n_a, n_b = int(j_lams.max(initial=0)) + 1, int(j_mus.max(initial=0)) + 1
-    D = np.zeros((n_a + 1, n_b + 1, len(inv)), dtype=complex)
+    D = np.zeros((n_a + 1, n_b + 1, len(inv)), dtype=np.result_type(tl, dtl, tm, dtm, inv))
     for a, b in np.ndindex(n_a, n_b):
         D[a + 1, b + 1] = (tl[a] * dtm[b] - dtl[a] * tm[b] - D[a, b + 1] + D[a + 1, b]) * inv
     return D[j_lams + 1, j_mus + 1, np.arange(len(inv))]
@@ -144,7 +149,7 @@ def _kernel_D_series(x, lams, j_lams, mus, j_mus):
     x^(2a+2b+1) sum_{p,q} A_a[p] A_b[q] u^p v^q / (2(p+q+a+b) + 1) of the
     integral of the towers, u = lam x^2, v = mu x^2, A_j the c_j coefficients."""
     U, V = _series_powers(lams * x * x), _series_powers(mus * x * x)
-    out = np.empty(len(lams), dtype=complex)
+    out = np.empty(len(lams), dtype=np.result_type(U, V))
     for a, b in set(zip(j_lams.tolist(), j_mus.tolist())):
         e = np.flatnonzero((j_lams == a) & (j_mus == b))
         out[e] = x ** (2 * (a + b) + 1) * np.sum(U[:, e] * (_SERIES_W[a, b] @ V[:, e]), axis=0)

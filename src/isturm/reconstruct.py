@@ -114,10 +114,11 @@ def dphi_K_dx(table: PhiTable, x: float, lam):
 
 def _pairing(ctx: MainEquationContext, W, values, offset: float = 0.0):
     """Residue sum W[:K] . values[:, 0] - W[K:] . values[:, 1] of the weights
-    W = ctx.residue_weights(x) with values (family on axis 1), less offset times
-    the residues of the Weyl difference: the head alpha, data minus model."""
-    K, head = ctx.K, np.where(ctx.order == 0, ctx.alpha, 0)
-    return W[:K] @ values[:, 0] - W[K:] @ values[:, 1] - offset * (head[:K].sum() - head[K:].sum())
+    W = ctx.residue_weights(x) and values (K, 2), nodes on a leading axis of
+    both, less offset times the head-alpha residues: data minus model."""
+    K, head, W = ctx.K, np.where(ctx.order == 0, ctx.alpha, 0), W[..., None, :]
+    return ((W[..., :K] @ values[..., 0:1] - W[..., K:] @ values[..., 1:2])[..., 0, 0]
+            - offset * (head[:K].sum() - head[K:].sum()))
 
 
 @dataclass
@@ -134,8 +135,7 @@ def reconstruct_sigma(table: PhiTable) -> SigmaResult:
     """Residue form of the sigma series over all flattened poles n <= K."""
     K, ctx, xs = table.K, table.ctx, table.x_grid
     n_x = len(xs)
-    raw = -2.0 * np.array([_pairing(ctx, ctx.residue_weights(x), table.phi[:, :, ix], 0.5)
-                           for ix, x in enumerate(xs)])
+    raw = -2.0 * _pairing(ctx, table.weights, table.phi.transpose(2, 0, 1), 0.5)
 
     # endpoint repair: the series limit at pi carries a 2*d offset (d the top
     # padded coefficient of r2); extrapolate over the truncation bump

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from isturm import (Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
+from isturm import (ModelData, Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
                     SigmaZero, char_delta, find_eigenvalues, integrate_solution,
                     weight_numbers, weyl_M)
 from isturm import forward
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
 from isturm.forward import _BLOCK, _polish_simple, _propagate, _step_mesh
+from isturm.maineq import MainEquationContext
 
 PI = np.pi
 
@@ -434,6 +435,20 @@ def test_weight_numbers_robin_vs_closed_form_quadrature(robin_sd25):
         want = np.mean(m_closed(z) * (z - sd.lam[k]))
         assert abs(sd.alpha[k] - want) < 1e-6
         assert abs(sd.alpha[k] - 2 / PI) < 0.2  # kappa_n decay
+
+
+def test_weight_numbers_exactly_real_for_real_problems(robin_sd25, poly_sd40, step_sd40):
+    # a real problem's residues at its real poles are real: no rounding-level
+    # imaginary part sends its data down the complex main equation; the one
+    # negative eigenvalue of poly_sd40 and the M1 = 1 model zero included
+    for _, sd in (robin_sd25, poly_sd40, step_sd40):
+        assert not sd.lam.imag.any() and not sd.alpha.imag.any()
+        assert MainEquationContext(sd, ModelData(sd.m1)).dtype == np.float64
+    assert poly_sd40[1].lam[0].real < 0
+    # a complex problem keeps complex weights at its real poles too
+    prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
+    eigs = weight_numbers(prob, find_eigenvalues(prob, 8, 512), 512)
+    assert all(a.imag != 0 for r in eigs for a in r.alpha_coeffs)
 
 
 def test_weight_check_fires_on_complex_pole_off_its_root():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isturm import maineq
@@ -107,6 +107,53 @@ def test_build_system_matches_hand_assembly_property(K, M1, m, c, x, straddle, s
     np.testing.assert_allclose(np.outer(sys.psi_tilde, sys.v), dH, atol=1e-12)
     sv = np.linalg.svd(dH, compute_uv=False)
     assert sv[1] <= 1e-14 * sv[0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(K=st.integers(6, 8), M1=st.integers(0, 2), m=st.integers(1, 3),
+       c=st.floats(-3.0, 3.0), low=st.floats(0.01, 2.0), straddle=st.booleans(),
+       eps=st.floats(1e-5, 2e-4), x=st.floats(1e-3, PI),
+       shifts=st.lists(st.floats(0.05, 0.5), min_size=8, max_size=8))
+def test_build_system_real_data_property(K, M1, m, c, low, straddle, eps, x, shifts):
+    # real data: lambda_1 = -low < 0 or, with straddle, the near pair
+    # lambda_1 = -eps, lambda_(m+2) = +eps across 0; a real size-m cluster at c
+    # with real weights; lambda_K = -2 low against a positive model pole; every
+    # other pole shifted off its model partner
+    md = ModelData(M1)
+    lam = md.spectral_data(K).lam.real + np.asarray(shifts[:K]) + 0.01 * np.arange(K)
+    alpha = np.full(K, 2 / PI + 0.1)
+    lam[0] = -eps if straddle else -low
+    lam[1:1 + m] = c
+    alpha[1:1 + m] = [0.9, 0.2, 0.05][:m]
+    if straddle:
+        lam[1 + m] = eps
+    lam[-1] = -2 * low
+    sd = SpectralData.from_flat(lam, alpha)
+    assume(sd.sizes == (1, m) + (1,) * (K - 1 - m))
+    ctx = MainEquationContext(sd, md)
+    assert ctx.dtype == np.float64
+    sys = build_system(ctx, x)
+    assert sys.H.dtype == sys.psi_tilde.dtype == sys.v.dtype == np.float64
+    np.testing.assert_allclose(sys.H, _hand_assembly(sd, md, x), atol=1e-12)
+    np.testing.assert_allclose(np.outer(sys.psi_tilde, sys.v),
+                               _hand_assembly(sd, md, x, deriv=True), atol=1e-12)
+    # the same data, sent down the complex path by a 1e-30 imaginary weight
+    twin = build_system(MainEquationContext(
+        SpectralData.from_flat(lam, alpha + 1e-30j), md), x)
+    assert twin.H.dtype == np.complex128
+    for name in ("psi_tilde", "dpsi_tilde", "H", "v"):
+        np.testing.assert_allclose(getattr(sys, name), getattr(twin, name),
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_complex_data_stays_complex():
+    sd, md = shifted_model_data(5)
+    sdc = SpectralData.from_flat(sd.lam, sd.alpha * (1 + 0.1j))
+    sys = build_system(MainEquationContext(sdc, md), 1.3)
+    assert sys.H.dtype == sys.psi_tilde.dtype == sys.v.dtype == np.complex128
+    for data, dtype in ((sdc, np.complex128), (sd, np.float64)):
+        table = solve_on_grid(data, md, 5, n_x=33)
+        assert table.phi.dtype == table.dphi.dtype == table.weights.dtype == dtype
 
 
 @pytest.mark.parametrize("x", [0.7, 2.6])

@@ -368,3 +368,24 @@ def test_kernel_series_matches_quadrature():
     for x, lam, mu in [(0.01, 0.0, 5e4), (0.3, 0.3 + 0.5j, 0.3 + 0.5j), (PI, 0.0, 0.9),
                        (2.0, -2.0 + 0.1j, -2.0), (1.0, r**2 * 1j, -r**2)]:
         assert _worst_error(_kernel_D_series, x, lam, mu) <= 1e-13
+
+
+def test_cluster_kernels_follow_input_dtype():
+    # real poles, below -4 / x^2 and above 4 / x^2 included, give float64 towers
+    # and kernel derivatives, equal to the complex evaluation of the same points
+    x = 1.7
+    lams = np.array([-9.0, -1.0, 0.0, 0.5, 6.0])
+    mus = np.array([-8.5, 2.0, 0.3, 0.7, 25.0])
+    a, b = np.array([0, 1, 2, 1, 0]), np.array([1, 0, 2, 2, 1])
+    towers = _phi_tower(3, x, lams), _phi_tower(3, x, lams + 0j)
+    for real, cplx in zip(*towers):
+        assert real.dtype == np.float64
+        np.testing.assert_allclose(real, cplx, rtol=1e-14, atol=1e-15)
+    # the recurrence where the kernel takes it, at separated pairs
+    calls = [(lambda lm, mu: _recurrence(x, lm, a, mu, b), lams + 30.0),
+             (lambda lm, mu: _kernel_D_series(x, lm, a, mu, b), mus),
+             (lambda lm, mu: kernel_D_derivs_batch(x, lm, a, mu, b), mus)]
+    for f, mu in calls:
+        real, cplx = f(lams, mu), f(lams + 0j, mu + 0j)
+        assert real.dtype == np.float64
+        np.testing.assert_allclose(real, cplx, rtol=1e-13, atol=1e-15)

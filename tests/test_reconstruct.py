@@ -39,6 +39,18 @@ def clustered20(request):
     return request.param, _clustered(20, request.param)
 
 
+def test_sigma_raw_is_the_per_node_residue_sum(poly_sd40, clustered20):
+    # the one contraction of reconstruct_sigma over the weights the solve kept,
+    # against the per-cluster residue loop at every node: real data with a
+    # negative eigenvalue against the M1 = 1 model, and a complex cluster
+    _, sd = poly_sd40
+    _, (_, clustered) = clustered20
+    for table in (solve_on_grid(sd, ModelData(1), 40, n_x=65), clustered):
+        want = [-2.0 * residue_sum(table.ctx, BOTH, phi_model, x, table.phi[:, :, ix], offset=0.5)
+                for ix, x in enumerate(table.x_grid)]
+        np.testing.assert_allclose(reconstruct_sigma(table).raw, want, rtol=1e-13, atol=1e-13)
+
+
 def test_phi_K_model_is_cosine():
     md = ModelData(0)
     sd = md.spectral_data(10)
