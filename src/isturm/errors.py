@@ -53,10 +53,6 @@ class Singular(IsturmError):
     """Truncated main-equation matrix is numerically singular."""
 
 
-class ContourThroughPole(IsturmError):
-    """A reconstruction contour passes too close to a pole."""
-
-
 class FitResidualTooLarge(IsturmError):
     """Polynomial fit of a reconstruction expression did not collapse."""
 

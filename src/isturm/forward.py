@@ -23,7 +23,7 @@ from ._util import lam_batch, sqrt_lambda
 from .errors import (AtPole, CountMismatch, MalformedInput, NoConvergence, NonFiniteState,
                      PoleTooClose)
 from .problem import Polynomial, ProblemL, SigmaFunction, poly_eval
-from .spectral import EigenRecord, SpectralData
+from .spectral import _CLUSTER_RTOL, EigenRecord, SpectralData
 
 PI = np.pi
 
@@ -575,7 +575,7 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     merged: list[list] = []
     for lam_c, m in found:
-        if merged and (abs(lam_c - merged[-1][0]) <= 1e-8 * (1 + abs(lam_c))
+        if merged and (abs(lam_c - merged[-1][0]) <= _CLUSTER_RTOL * (1 + abs(lam_c))
                        or abs(sqrt_lambda(lam_c) - sqrt_lambda(merged[-1][0])) < 1e-5):
             merged[-1][1] += m
         else:

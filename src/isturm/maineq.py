@@ -15,8 +15,10 @@ system (E + H) psi' = psi_tilde' - H' psi.
 Real data (every lam and alpha of data and model real) runs the same code in
 float64 with LAPACK's d-routines, else complex128.  There a pole lam < 0 has
 rho = -i|rho|; the context keeps |rho| and forms cosh/sinh(|rho| x) for
-cos(rho x), rho sin(rho x) and the plain-row differences; a near pair of mixed
-signs has m = -conj(p), so sinc(p x) + sinc(m x) = 2 Re sinc(p x).
+cos(rho x) and rho sin(rho x); a near pair of mixed signs has m = -conj(p), so
+sinc(p x) + sinc(m x) = 2 Re sinc(p x).  A data pole lam < 0 pairs with a
+model pole lam~ >= 0, so the two are close only near 0, where the plain table
+difference cos(rho_0 x) - cos(rho_1 x) loses only absolute rounding.
 
 Each node reads one table: cos/sin(rho x) at the 2K poles and, at clustered
 poles, the towers phi_model/phi_model_dx.  The order-0 kernel is
@@ -104,10 +106,9 @@ class MainEquationContext:
         self.clustered = np.concatenate([np.repeat(f.sizes, f.sizes) for f in fam_sds]) > 1
         self.top = int(max(self.order.max(), self.term_dord.max(initial=0)))
         self._pole_rows = self._rows(self.lam, rho, self.order)
-        # rows where both families are simple (plain_neg: a real data pole < 0),
-        # and rho_0 +- rho_1, the difference as a quotient: |rho_0 + rho_1| >= |rho_0 - rho_1|
-        simple = ~self.clustered[:K] & ~self.clustered[K:]
-        pl, self.plain_neg = (np.flatnonzero(simple & s) for s in (~self.neg[:K], self.neg[:K]))
+        # rows where both families are simple and the data pole is not real < 0, and
+        # rho_0 +- rho_1, the difference as a quotient: |rho_0 + rho_1| >= |rho_0 - rho_1|
+        pl = np.flatnonzero(~self.clustered[:K] & ~self.clustered[K:] & ~self.neg[:K])
         rs = self.rho[pl] + self.rho[K + pl]
         self.plain = (pl, rs, (self.lam[pl] - self.lam[K + pl]) / np.where(rs == 0, 1.0, rs))
 
@@ -230,13 +231,10 @@ def build_system(ctx: MainEquationContext, x: float) -> MainEquationSystem:
     diff, ddiff = pt0 - pt1, dpt0 - dpt1
     # cos a - cos b = -2 sin((a+b)/2) sin((a-b)/2): avoids cancellation when
     # the data pole sits close to its model partner
-    (pl, rs, rd), ng, K = ctx.plain, ctx.plain_neg, ctx.K
+    (pl, rs, rd), K = ctx.plain, ctx.K
     ss, sd, cs, cd = np.sin(rs * x / 2), np.sin(rd * x / 2), np.cos(rs * x / 2), np.cos(rd * x / 2)
     diff[pl] = -2.0 * ss * sd
     ddiff[pl] = -(rs * cs * sd + rd * ss * cd)
-    a, b = ctx.rho[ng], ctx.rho[K + ng]
-    diff[ng] = 2.0 * (np.sinh(a * x / 2) ** 2 + np.sin(b * x / 2) ** 2)
-    ddiff[ng] = a * np.sinh(a * x) + b * np.sin(b * x)
     # interleaved; dQ_(i,j) = phi~_i W_j^T, so the transform of dQ is psi_tilde v^T
     psi, dpsi, v = np.empty((3, 2 * K), dtype=ctx.dtype)
     psi[0::2], psi[1::2] = ctx.chi * diff, pt1

@@ -5,9 +5,10 @@ the truncated Weyl difference.  Every pole with flattened index <= K
 contributes exactly once, a cluster with its derivative terms: each sum is
 the pairing W[..., :K] @ v_0 - W[..., K:] @ v_1 of the per-pole weights
 MainEquationContext.residue_weights builds from the main equation's own
-column terms with the table values v_i of family i.  tests/contour_oracle.py
-checks the weights against a per-cluster loop and the sums against trapezoid
-quadrature on the circle contour.
+column terms with the table values v_i of family i, so no sum needs the
+circle of choose_contour, which only places the r1/r2 fit samples.  Real data
+gives real sigma, r1 and r2.  tests/contour_oracle.py checks the weights
+against a per-cluster loop and the sums against quadrature on the circle.
 
 The sigma series converges in the mean-square sense only: at x = pi it has a
 measure-zero defect (it tends to sigma(pi) + 2 d, d the top coefficient of the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import lam_batch, phi_model, phi_model_dx
-from .errors import ContourThroughPole, FitResidualTooLarge, UnsupportedCase
+from .errors import FitResidualTooLarge, UnsupportedCase
 from .maineq import MainEquationContext, PhiTable, solve_at_x, solve_on_grid
 from .model import ModelData
 from .problem import Polynomial
@@ -46,7 +47,8 @@ class ContourSpec:
 
 def choose_contour(ctx: MainEquationContext) -> ContourSpec:
     """Smallest contour index covering the context's multiplicities, the low
-    cluster zone and the dominant-xi indices, plus CONTOUR_MARGIN."""
+    cluster zone and the dominant-xi indices, plus CONTOUR_MARGIN (at most
+    K - 2).  The circle only places the fit samples and is reported as N."""
     K, M1, xi = ctx.K, ctx.md.M1, ctx.xi
     need = {M1 + 1}
     for fam_sd in (ctx.sd, ctx.mds):
@@ -56,18 +58,8 @@ def choose_contour(ctx: MainEquationContext) -> ContourSpec:
     big = np.flatnonzero(xi > 0.5 * np.max(xi)) + 1 if np.max(xi) > 0 else []
     for n in big:
         need.add(int(n))
-    n_max = max(need)
-    N = max(1, n_max - M1 - 1) + CONTOUR_MARGIN
-    N = min(N, K - 2)
-    cont = ContourSpec(N)
-    lams = np.concatenate([ctx.sd.lam, ctx.mds.lam])
-    for _ in range(4):
-        if np.min(np.abs(np.abs(lams) - cont.radius)) > 1e-6 * cont.radius:
-            return cont
-        if cont.N + 1 > K - 2:
-            break
-        cont = ContourSpec(cont.N + 1)
-    raise ContourThroughPole("no admissible contour index below K - 2")
+    N = max(1, max(need) - M1 - 1) + CONTOUR_MARGIN
+    return ContourSpec(min(N, K - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +181,24 @@ def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
 
 def _fit_r(name: str, table: PhiTable, contour: ContourSpec, lam_samples, expression):
     """Degree-M1 least-squares fit of _g_factor(lam) * expression(lam) at
-    lam_samples (default_lambda_samples when None), in a shifted-scaled basis.
+    lam_samples (default_lambda_samples when None).
 
     Returns (ascending coefficients, relative residual); a residual above
-    FIT_RESID_TOL raises FitResidualTooLarge."""
+    FIT_RESID_TOL raises FitResidualTooLarge.  Real data (ctx.dtype float64)
+    has a conjugate-symmetric expression, so its coefficients are real."""
     ctx = table.ctx
     if lam_samples is None:
         lam_samples = default_lambda_samples(ctx, contour)
     lam_s = np.asarray(lam_samples, dtype=complex)
     vals = _g_factor(ctx, lam_s) * expression(lam_s)
-    degree = ctx.md.M1
-    mid = np.mean(lam_s.real)
-    half = max(np.max(np.abs(lam_s.real - mid)), 1.0)
-    t = (lam_s - mid) / half
-    V = np.vander(t, degree + 1, increasing=True)
-    c_t, *_ = np.linalg.lstsq(V, vals, rcond=None)
+    fit = np.polynomial.Polynomial.fit(lam_s, vals, ctx.md.M1)
     # the floor keeps identically-zero expressions (model data) from tripping
     # the relative residual
-    resid = float(np.max(np.abs(V @ c_t - vals)) / max(np.max(np.abs(vals)), 1e-9))
+    resid = float(np.max(np.abs(fit(lam_s) - vals)) / max(np.max(np.abs(vals)), 1e-9))
     if resid > FIT_RESID_TOL:
         raise FitResidualTooLarge(f"{name} fit residual {resid:.3g}")
-    # convert sum c_t[k] ((lam - mid)/half)^k to ascending powers of lam
-    poly = np.zeros(degree + 1, dtype=complex)
-    base = np.array([1.0], dtype=complex)
-    for k in range(degree + 1):
-        poly[: k + 1] += c_t[k] * base
-        base = np.convolve(base, np.array([-mid / half, 1.0 / half], dtype=complex))
-    return poly, resid
+    coef = fit.convert().coef
+    return (coef.real if ctx.dtype == float else coef), resid
 
 
 def _quasi_pi(table: PhiTable, sigma_pi_raw: complex) -> np.ndarray:

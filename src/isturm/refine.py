@@ -7,7 +7,9 @@ boundary constants.  Both are functionals of the problem itself, so they
 cancel to second order under a forward/invert defect-correction pass: forward
 the (smoothed) reconstruction, invert that synthetic data with the same
 truncation, and subtract the reproduced bias.  Smoothing before the re-forward
-keeps the two passes' truncation tails aligned.
+keeps the two passes' truncation tails aligned.  The pass forwards the
+reconstruction as it is: real data gives a real problem, whose forward data
+takes the real main equation again.
 """
 from __future__ import annotations
 
@@ -37,18 +39,9 @@ def smooth_grid(values: np.ndarray, x_grid: np.ndarray, width: float) -> np.ndar
     k = np.ones(w) / w
     out = v
     for _ in range(2):
-        pad = np.concatenate([2 * out[0] - out[w // 2:0:-1], out,
-                              2 * out[-1] - out[-2:-2 - w // 2:-1]])
+        pad = np.pad(out, w // 2, mode="reflect", reflect_type="odd")
         out = np.convolve(pad, k, mode="valid")[: len(v)]
     return out
-
-
-def _realify(values, tol=1e-6):
-    v = np.asarray(values, dtype=complex)
-    scale = max(float(np.max(np.abs(v))), 1.0)
-    if float(np.max(np.abs(v.imag))) <= tol * scale:
-        return v.real
-    return v
 
 
 @dataclass
@@ -74,9 +67,7 @@ def invert_refined(sd: SpectralData, K: int | None = None,
     xs = res0.x_grid
     width = PI / K
     sig0_s = smooth_grid(res0.sigma, xs, width)
-    prob = ProblemL(SigmaGridSamples(_realify(sig0_s)),
-                    Polynomial(_realify(res0.r1.coeffs)),
-                    Polynomial(_realify(res0.r2.coeffs)))
+    prob = ProblemL(SigmaGridSamples(sig0_s), res0.r1, res0.r2)
     sd_p = forward_spectral_data(prob, K, N_X_FORWARD)
     res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
     delta = sig0_s - smooth_grid(res_p.sigma, xs, width)

@@ -14,7 +14,7 @@ from ._util import MAX_DERIV_ORDER, cplx, from_pair, lam_batch, sqrt_lambda
 from .errors import AmbiguousOffset, AtPole, DenominatorZero, MalformedInput
 from .problem import Polynomial, poly_eval
 
-_CLUSTER_RTOL = 1e-8  # flattened entries this close (relative) form one cluster
+_CLUSTER_RTOL = 1e-8  # entries or found roots this close (relative) are one eigenvalue
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,10 @@ def r2_contour_quadrature(table: PhiTable, contour: ContourSpec, lam: complex,
 
 def worst_mismatch(table: PhiTable, contour: ContourSpec, ixs=(), lam=None) -> float:
     """Largest |residue - quadrature| of the sigma term at the grid nodes ixs
-    and, given lam, of the r1 term and the two r2 terms at lam."""
+    and, given lam, of the r1 term and the two r2 terms at lam.  The trapezoid
+    rule needs the circle clear of every pole, so a pole on it raises."""
+    if np.min(np.abs(np.abs(table.ctx.lam) - contour.radius)) <= 1e-6 * contour.radius:
+        raise ValueError(f"a pole lies on the contour |lam| = {contour.radius}")
     diffs = [abs(sigma_contour_residue(table, contour, table.x_grid[ix])
                  - sigma_contour_quadrature(table, contour, table.x_grid[ix])) for ix in ixs]
     if lam is not None:

@@ -9,8 +9,8 @@ from isturm import (ModelData, Polynomial, ProblemL, SigmaStep, SigmaZero, find_
 from isturm import cli
 from isturm._util import write_json_atomic
 from isturm.cli import main
-from isturm.errors import (AmbiguousOffset, ContourThroughPole, CountMismatch,
-                           FitResidualTooLarge, MalformedInput, Singular)
+from isturm.errors import (AmbiguousOffset, CountMismatch, FitResidualTooLarge,
+                           MalformedInput, Singular, UnsupportedCase)
 from isturm.spectral import spectral_data_from_json
 
 PI = np.pi
@@ -99,6 +99,38 @@ def test_roundtrip_model_problem(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
     assert rep["sigma_l2_error"] < 1e-6
+
+
+def _invert_json(sd_path, out, *extra):
+    assert main(["invert", "--config", str(sd_path), "--out", str(out), *extra]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("r1", [[1], [0.8, 1]], ids=["M1=0", "M1=1"])
+def test_real_data_gives_exactly_real_boundary_polynomials(tmp_path, r1):
+    # CLI-forwarded data of a real step problem at K = 60 is real, so both the
+    # plain and the defect-corrected inversion write r1, r2 and r2_check with
+    # imaginary parts exactly 0, as alpha has them
+    cfg = _write_problem(tmp_path / "problem.json", r1, [1], SigmaStep(1.0, 0.45 * PI))
+    sd_path = tmp_path / "sd.json"
+    assert main(["forward", "--config", str(cfg), "--K", "60", "--nx", "1024",
+                 "--out", str(sd_path)]) == 0
+    plain = _invert_json(sd_path, tmp_path / "rec.json", "--K", "60", "--nx", "129")
+    regular = _invert_json(sd_path, tmp_path / "reg.json", "--regular", "--K", "40",
+                           "--nx", "129")
+    for rec, keys in ((plain, ("r1", "r2")), (regular, ("r1", "r2", "r2_check"))):
+        for key in keys:
+            assert [im for _, im in rec[key]] == [0.0] * len(rec[key]), key
+    np.testing.assert_allclose([re for re, _ in plain["r1"]], r1, atol=1e-3)
+
+
+def test_complex_data_keeps_complex_r2(tmp_path):
+    cfg = _write_problem(tmp_path / "problem.json", [1], [1], SigmaStep(1.0 + 0.3j, 0.45 * PI))
+    sd_path = tmp_path / "sd.json"
+    assert main(["forward", "--config", str(cfg), "--K", "20", "--nx", "1024",
+                 "--out", str(sd_path)]) == 0
+    rec = _invert_json(sd_path, tmp_path / "rec.json", "--K", "20", "--nx", "65")
+    assert abs(rec["r2"][0][1]) > 1e-4
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -306,7 +338,7 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, command, target):
     for exc, code in [(CountMismatch("count"), 2), (MalformedInput("schema"), 3),
                       (OSError("disk"), 3), (AmbiguousOffset("offset"), 4),
                       (Singular("singular"), 5), (FitResidualTooLarge("fit"), 6),
-                      (ContourThroughPole("contour"), 1)]:
+                      (UnsupportedCase("case"), 1)]:
         monkeypatch.setattr(cli, target, _raise(exc))
         capsys.readouterr()
         assert main(argv) == code, exc

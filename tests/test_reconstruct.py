@@ -277,6 +277,28 @@ def test_lambda_samples_off_poles(poly_sd40):
     assert np.all(np.abs(pts) > spec.radius)
 
 
+def test_pole_on_the_contour_is_harmless():
+    # lam_4 sits on its own contour |lam| = (N + 1/2)^2 = 12.25 (N = K - 2 = 3,
+    # so no larger index is admissible); the sums run over the poles and the
+    # fit samples keep their own distance, so the inversion is unaffected
+    md = ModelData(0)
+    base = md.spectral_data(5)
+    lam = base.lam.copy()
+    lam[0], lam[3] = -2.25, 12.25
+    sd = SpectralData.from_flat(lam, base.alpha, m1=0)
+    res = invert_spectral_data(sd, K=5, n_x=129)
+    assert res.N == 3 and np.min(np.abs(np.abs(sd.lam) - 12.25)) == 0.0
+    assert res.diagnostics["r1_fit_residual"] < 1e-10
+    assert res.diagnostics["r2_fit_residual"] < 1e-10
+    # another circle moves only the fit samples; the quadrature oracle, which
+    # does integrate over the circle, refuses this one
+    table = solve_on_grid(sd, md, 5, n_x=129)
+    r2, _ = reconstruct_r2(table, ContourSpec(5))
+    np.testing.assert_allclose(r2.as_array(), res.r2.as_array(), rtol=1e-12)
+    with pytest.raises(ValueError, match="on the contour"):
+        worst_mismatch(table, ContourSpec(res.N), ixs=(64,))
+
+
 def test_invert_roundtrip_fixture(poly_sd40):
     prob, sd = poly_sd40
     res = invert_spectral_data(sd, K=40, n_x=129)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/isturm", "tests", "demos") for p in (ROOT / d).glob("*.py"))
+READERS = FILES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -28,3 +29,43 @@ def test_no_unused_imports():
     assert _unused_imports(ast.parse(probe)) == ["a", "e", "os"]
     found = {str(p.relative_to(ROOT)): _unused_imports(ast.parse(p.read_text())) for p in FILES}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _private_defs(tree):
+    """Module-level private functions, classes and constants: one leading
+    underscore, not a dunder."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def _references(tree):
+    """Names a module reads: loaded names, attributes and imported names."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {a.name for a in node.names}
+    return refs
+
+
+def test_no_dead_private_names():
+    # the scan itself: a called helper, a constant read through an attribute
+    # elsewhere, and an unread function, class, constant and annotated constant
+    probe = ("def _used(): pass\ndef _dead(): pass\nclass _Dead: pass\n_TOL = 1\n"
+             "_GONE = 2\n_ann: int = 3\n__all__ = []\n_used()\n")
+    other = "import probe\nprobe._TOL\n"
+    refs = _references(ast.parse(probe)) | _references(ast.parse(other))
+    assert sorted(_private_defs(ast.parse(probe)) - refs) == ["_Dead", "_GONE", "_ann", "_dead"]
+    refs = set().union(*(_references(ast.parse(p.read_text())) for p in READERS))
+    dead = {str(p.relative_to(ROOT)): sorted(_private_defs(ast.parse(p.read_text())) - refs)
+            for p in sorted((ROOT / "src/isturm").glob("*.py"))}
+    assert {k: v for k, v in dead.items() if v} == {}
