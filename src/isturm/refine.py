@@ -7,9 +7,10 @@ boundary constants.  Both are functionals of the problem itself, so they
 cancel to second order under a forward/invert defect-correction pass: forward
 the (smoothed) reconstruction, invert that synthetic data with the same
 truncation, and subtract the reproduced bias.  Smoothing before the re-forward
-keeps the two passes' truncation tails aligned.  The pass forwards the
-reconstruction as it is: real data gives a real problem, whose forward data
-takes the real main equation again.
+keeps the two passes' truncation tails aligned.  Real data gives a real
+problem, whose forward data takes the real main equation again.  The forward
+runs on the reconstruction's sample grid refined to steps of at most 1/K, so
+no Magnus step straddles a kink of the piecewise-linear reconstruction.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .regular import check_r2_shift
 from .spectral import SpectralData
 
 PI = np.pi
-N_X_FORWARD = 1024          # grid of the correction pass's forward solve
 EDGE_BANDS = (0.04, 0.12)   # left/right boundary bands of sigma, fractions of pi
 
 
@@ -58,9 +58,9 @@ def invert_refined(sd: SpectralData, K: int | None = None,
                    n_x: int = 512) -> RefinedResult:
     """invert_spectral_data plus one defect-correction pass.
 
-    The pass forwards the smoothed reconstruction (on N_X_FORWARD nodes),
-    inverts the synthetic data at the same truncation and adds back the
-    difference of the two smoothed reconstructions.
+    The pass forwards the smoothed reconstruction on its sample grid refined
+    m = ceil(pi K / (n_x - 1)) times, inverts that data at the same truncation
+    and adds back the difference of the two smoothed reconstructions.
     """
     K = sd.K if K is None else K
     res0 = invert_spectral_data(sd, K=K, n_x=n_x)
@@ -68,7 +68,8 @@ def invert_refined(sd: SpectralData, K: int | None = None,
     width = PI / K
     sig0_s = smooth_grid(res0.sigma, xs, width)
     prob = ProblemL(SigmaGridSamples(sig0_s), res0.r1, res0.r2)
-    sd_p = forward_spectral_data(prob, K, N_X_FORWARD)
+    m = int(np.ceil(PI * K / (n_x - 1)))
+    sd_p = forward_spectral_data(prob, K, (n_x - 1) * m + 1)
     res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
     delta = sig0_s - smooth_grid(res_p.sigma, xs, width)
     sig_est = sig0_s + delta

@@ -1,12 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from isturm import (ModelData, Polynomial, ProblemL, SigmaPolynomialInX, SigmaZero,
-                    choose_contour, estimate_bN2, forward_spectral_data, reconstruct_r2,
-                    reconstruct_sigma, solve_on_grid, weyl_M1)
+from isturm import (ModelData, Polynomial, ProblemL, SigmaGridSamples, SigmaPolynomialInX,
+                    SigmaZero, choose_contour, estimate_bN2, forward_spectral_data,
+                    invert_spectral_data, reconstruct_r2, reconstruct_sigma, solve_on_grid,
+                    weyl_M1)
 from isturm.errors import FitUnstable
-from isturm.refine import recover_q, smooth_grid
+from isturm.refine import invert_regular, rebuild_sigma_tail, recover_q, smooth_grid
 from isturm.regular import check_r2_shift
 
 PI = np.pi
@@ -117,3 +120,65 @@ def test_recover_q_zero():
     xs = np.linspace(0, PI, 64)
     q, _ = recover_q(np.zeros(64, dtype=complex), xs, K=40)
     assert np.max(np.abs(q)) < 1e-12
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+def test_grid_sigma_forward_on_its_own_grid():
+    # SigmaGridSamples is linear between its samples and kinks at each, so a
+    # mesh on its own grid keeps Magnus-4's order: 129 -> 257 nodes cuts the
+    # gap to an 8x-refined aligned mesh 16 times (measured 1.1e-8 in lambda
+    # and 9.5e-7 in alpha on 129 nodes)
+    xs = np.linspace(0, PI, 129)
+    prob = ProblemL(SigmaGridSamples(np.sin(xs) + 0.3 * xs**2), Polynomial([1]),
+                    Polynomial([1.5]))
+    ref, own, twice = (forward_spectral_data(prob, 20, n) for n in (8 * 128 + 1, 129, 257))
+    lam_gap, alpha_gap = _rel_gap(own.lam, ref.lam), _rel_gap(own.alpha, ref.alpha)
+    assert lam_gap < 3e-8 and alpha_gap < 3e-6
+    assert _rel_gap(twice.lam, ref.lam) < lam_gap / 10
+    assert _rel_gap(twice.alpha, ref.alpha) < alpha_gap / 10
+
+
+@lru_cache(maxsize=None)
+def _smooth_sd(K):
+    """Data of the regular-roundtrip kind of problem: sigma = x + x^2 / 40,
+    r1 = 1, r2 = 1 + sigma(pi)."""
+    coeffs = [0.0, 1.0, 0.025]
+    r2 = Polynomial([1.0 + np.polyval(coeffs[::-1], PI)])
+    return forward_spectral_data(ProblemL(SigmaPolynomialInX(coeffs), Polynomial([1]), r2),
+                                 K, 1024)
+
+
+def _corrected(sd, K, n_x, factor):
+    """invert_regular written out, with the correction forward on the sample
+    grid refined `factor` times; returns (sigma, r1, r2)."""
+    res0 = invert_spectral_data(sd, K=K, n_x=n_x)
+    xs = res0.x_grid
+    sig0 = smooth_grid(res0.sigma, xs, PI / K)
+    sd_p = forward_spectral_data(ProblemL(SigmaGridSamples(sig0), res0.r1, res0.r2), K,
+                                 (n_x - 1) * factor + 1)
+    res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
+    sigma = 2 * sig0 - smooth_grid(res_p.sigma, xs, PI / K)
+    q, _ = recover_q(sigma, xs, K)
+    return (rebuild_sigma_tail(sigma, q, xs)[0], res0.r1 + res0.r1 - res_p.r1,
+            res0.r2 + res0.r2 - res_p.r2)
+
+
+def _max_gap(a, b):
+    return max(float(np.max(np.abs(a[0] - b[0]))),
+               *(float(np.max(np.abs((p - r).as_array()))) for p, r in zip(a[1:], b[1:])))
+
+
+@pytest.mark.parametrize("K, n_x, bound", [(40, 257, 1.5e-5), (40, 33, 2e-4), (80, 129, 1e-4)])
+def test_correction_forward_matches_refined_mesh(K, n_x, bound):
+    # measured gaps to the 16x-refined pass: 4.2e-6, 6.2e-5 (m = 4) and
+    # 3.1e-5 (m = 2), all in sigma
+    sd = _smooth_sd(K)
+    reg = invert_regular(sd, K=K, n_x=n_x)
+    ref = _corrected(sd, K, n_x, 16)
+    assert _max_gap((reg.sigma, reg.r1, reg.r2), ref) < bound
+    if n_x == 33:
+        # the bare sample grid, m = 1, misses the bound (7.2e-3 measured)
+        assert _max_gap(_corrected(sd, K, n_x, 1), ref) > bound
