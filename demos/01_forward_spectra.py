@@ -21,11 +21,8 @@ for name, prob in problems.items():
     sd = forward_spectral_data(prob, K, n_x=1024)
     print(f"\n{name}   [M1 = {prob.m1}]")
     print(f"  {'n':>3} {'lambda_n':>14} {'mult':>4} {'alpha_n':>12} {'rho_n-(n-M1-1)':>16}")
-    n = 0
-    for rec in sd.records():
-        for j in range(rec.multiplicity):
-            n += 1
-            kappa = rec.rho - (n - prob.m1 - 1)
-            print(f"  {n:>3} {rec.lam.real:>14.8f} {rec.multiplicity:>4} "
-                  f"{rec.alpha_coeffs[j].real:>12.8f} {kappa.real:>16.3e}")
+    mult = np.repeat(sd.sizes, sd.sizes)  # the multiplicity of each entry
+    for n, (lam, rho, m, alpha) in enumerate(zip(sd.lam, sd.rho, mult, sd.alpha), 1):
+        kappa = rho - (n - prob.m1 - 1)
+        print(f"  {n:>3} {lam.real:>14.8f} {m:>4} {alpha.real:>12.8f} {kappa.real:>16.3e}")
     print(f"  2/pi = {2/np.pi:.8f}: the weight numbers settle on it like 1/n^2.")

@@ -7,9 +7,8 @@ potential it also has a closed form, used here as the reference.
 """
 import numpy as np
 
-from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, WeylPartialFraction,
-                    eval_partial_fraction, forward_spectral_data, reduce_weyl,
-                    weyl_M, weyl_M1)
+from isturm import (ModelData, Polynomial, ProblemL, SigmaZero, eval_partial_fraction,
+                    forward_spectral_data, reduce_weyl, weyl_M, weyl_M1)
 
 prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([0]))
 lam = -1.0
@@ -21,9 +20,8 @@ print(f"  backward integration : {direct:.10f}")
 print(f"  closed form          : {closed.real:.10f}  (= -coth(pi))")
 
 sd = forward_spectral_data(prob, 30, n_x=1024)
-pf = WeylPartialFraction(sd, ModelData(0))
 for K_tail in (100, 1000, 10000):
-    series = eval_partial_fraction(pf, lam, K_tail)
+    series = eval_partial_fraction(sd, ModelData(0), lam, K_tail)
     print(f"  partial fractions, tail to {K_tail:>6}: {series.real:.10f} "
           f"(err {abs(series - direct):.1e})")
 

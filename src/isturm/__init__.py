@@ -17,9 +17,8 @@ from .reconstruct import (ContourSpec, ReconstructionResult, choose_contour,
                           dphi_K_dx, invert_spectral_data, phi_K_of_lambda,
                           reconstruct_r1, reconstruct_r2, reconstruct_sigma)
 from .regular import check_r2_shift, estimate_bN2
-from .spectral import (EigenRecord, SpectralData, WeylPartialFraction,
-                       detect_M1, eval_partial_fraction, group_multiplicities,
-                       reduce_weyl, spectral_data_from_json,
+from .spectral import (SpectralData, detect_M1, eval_partial_fraction,
+                       group_multiplicities, reduce_weyl, spectral_data_from_json,
                        spectral_data_to_json)
 from .verify import (coeff_error, regular_roundtrip, roundtrip,
                      sigma_l2_error, sigma_l2_norm)
@@ -40,8 +39,7 @@ __all__ = [
     "invert_spectral_data", "phi_K_of_lambda", "reconstruct_r1", "reconstruct_r2",
     "reconstruct_sigma",
     "check_r2_shift", "estimate_bN2",
-    "EigenRecord", "SpectralData", "WeylPartialFraction", "detect_M1",
-    "eval_partial_fraction", "group_multiplicities", "reduce_weyl",
-    "spectral_data_from_json", "spectral_data_to_json",
+    "SpectralData", "detect_M1", "eval_partial_fraction", "group_multiplicities",
+    "reduce_weyl", "spectral_data_from_json", "spectral_data_to_json",
     "coeff_error", "regular_roundtrip", "roundtrip", "sigma_l2_error", "sigma_l2_norm",
 ]

@@ -88,7 +88,6 @@ def cmd_invert(args) -> int:
     sd = spectral_data_from_json(read_json(args.config))
     invert = invert_regular if args.regular else invert_spectral_data
     out = invert(sd, K=args.K, n_x=args.nx)
-    res = out.base if args.regular else out
     payload = _reconstruction_json(out)
     if args.regular:
         payload["q"] = [cplx(v) for v in out.q]
@@ -97,7 +96,7 @@ def cmd_invert(args) -> int:
     write_json_atomic(args.out, payload)
     if args.diag:
         write_json_atomic(args.diag, payload["diagnostics"])
-    print(f"wrote {args.out}: M1={res.m1}, N={res.N}, "
+    print(f"wrote {args.out}: M1={out.m1}, N={out.N}, "
           f"r1 fit {out.diagnostics['r1_fit_residual']:.2e}, "
           f"r2 fit {out.diagnostics['r2_fit_residual']:.2e}")
     return 0

@@ -23,7 +23,7 @@ from ._util import lam_batch, sqrt_lambda
 from .errors import (AtPole, CountMismatch, MalformedInput, NoConvergence, NonFiniteState,
                      PoleTooClose)
 from .problem import Polynomial, ProblemL, SigmaFunction, poly_eval
-from .spectral import _CLUSTER_RTOL, EigenRecord, SpectralData
+from .spectral import _CLUSTER_RTOL, SpectralData, group_multiplicities
 
 PI = np.pi
 
@@ -501,9 +501,9 @@ def _seeded_roots(f, master, total, K, shift, n0):
     return list(certified), _subdivide_hunt(f, low, n_low)
 
 
-def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecord]:
-    """First K eigenvalues (with multiplicity), ordered by the asymptotic
-    numbering.
+def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> np.ndarray:
+    """First K eigenvalues as a complex array, ordered by the asymptotic
+    numbering, a multiple eigenvalue repeated.
 
     A real problem brackets the sign changes of Delta on a real grid and
     closes each bracket to rounding by Illinois regula falsi alone.
@@ -525,6 +525,10 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
     # magnitude of sigma controls how deep the negative spectrum can sit
     sig_max = float(np.max(np.abs(prob.sigma(np.linspace(0, PI, 257)))))
     t_neg = max(4.0, 2.0 * sig_max + 2.0, prob.m1 + 2.0)
+    if t_neg * PI > 2.0 * np.log(np.finfo(float).max):
+        raise NonFiniteState(f"sup|sigma| = {sig_max:.6g} is too large: the solutions "
+                             f"overflow at lambda = -({t_neg:.6g})^2, the deepest point "
+                             "of the eigenvalue search")
 
     roots = None
     if prob.is_real:
@@ -581,32 +585,34 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> list[EigenRecor
         else:
             merged.append([lam_c, m])
 
-    records = [EigenRecord(lam=complex(lam_c), rho=complex(sqrt_lambda(lam_c)),
-                           multiplicity=m, alpha_coeffs=())
-               for lam_c, m in merged]
-    records.sort(key=lambda r: (round(r.rho.real, 9), r.rho.imag))
-    flat = sum(r.multiplicity for r in records)
-    if flat != K:
-        raise CountMismatch(f"assembled {flat} eigenvalues, expected {K}")
-    return records
+    def asymptotic_order(entry):
+        rho = complex(sqrt_lambda(entry[0]))
+        return round(rho.real, 9), rho.imag
+    merged.sort(key=asymptotic_order)
+    lam = np.array([z for z, m in merged for _ in range(m)], dtype=complex)
+    if len(lam) != K:
+        raise CountMismatch(f"assembled {len(lam)} eigenvalues, expected {K}")
+    return lam
 
 
-def weight_numbers(prob: ProblemL, eigs: list[EigenRecord],
-                   n_x: int = 1024) -> list[EigenRecord]:
-    """Fill principal-part coefficients alpha_{k+j} by circle quadrature of the
-    forward-computed Weyl function psi(0)/psi^[1](0), from one batch of circle
-    points.
+def weight_numbers(prob: ProblemL, lam, n_x: int = 1024) -> SpectralData:
+    """Spectral data of the flattened eigenvalues lam: the principal-part
+    coefficients alpha_{k+j} by circle quadrature of the forward-computed Weyl
+    function psi(0)/psi^[1](0), one circle per distinct eigenvalue, from one
+    batch of circle points.
 
     Every simple pole is cross-checked against the residue psi(0)/psi^[1]'
     at lam.  Both are entire, so the Cauchy integrals over the same samples
     give it as mean(psi(0)) / mean(psi^[1](0) / (z - lam)); it agrees with
     the circle to rounding only when lam is a root and the circle holds no
     other pole.  At a real lam of a real problem alpha is exactly real."""
-    lam_c = np.array([r.lam for r in eigs], dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    heads, sizes = group_multiplicities(lam)
+    lam_c = lam[list(heads)]
     th = np.exp(2j * PI * (np.arange(_N_QUAD) + 0.5) / _N_QUAD)
 
     gap = (np.abs(lam_c[:, None] - lam_c[None, :])
-           + np.diag(np.full(len(eigs), np.inf))).min(axis=1, initial=np.inf)
+           + np.diag(np.full(len(lam_c), np.inf))).min(axis=1, initial=np.inf)
     radii = np.array([min(1e-2 * max(1.0, abs(z)), 0.25 * d) for z, d in zip(lam_c, gap)])
     close = np.flatnonzero(radii < 1e-10 * (1 + np.abs(lam_c)))
     if close.size:
@@ -615,27 +621,23 @@ def weight_numbers(prob: ProblemL, eigs: list[EigenRecord],
     z = lam_c[:, None] + radii[:, None] * th[None, :]
     y0, yq0 = (v.reshape(z.shape) for v in _psi_zero_batch(prob, z.ravel(), n_x))
 
-    out: list[EigenRecord] = []
-    for k, rec in enumerate(eigs):
+    alpha = np.empty(len(lam), dtype=complex)
+    for k, (h, m) in enumerate(zip(heads, sizes)):
         dz = z[k] - lam_c[k]  # the offsets of the samples as rounded
-        alphas = [complex(np.mean(y0[k] / yq0[k] * dz ** (j + 1)))
-                  for j in range(rec.multiplicity)]
-        if prob.is_real and rec.lam.imag == 0:
+        alphas = [complex(np.mean(y0[k] / yq0[k] * dz ** (j + 1))) for j in range(m)]
+        if prob.is_real and lam_c[k].imag == 0:
             alphas = [complex(a.real) for a in alphas]
-        if rec.multiplicity == 1:
+        if m == 1:
             alt = np.mean(y0[k]) / np.mean(yq0[k] / dz)
             if abs(alt - alphas[0]) > 1e-8 * max(1.0, abs(alphas[0])):
                 warnings.warn(
-                    f"weight number cross-check mismatch at lambda={rec.lam:.6g}: "
+                    f"weight number cross-check mismatch at lambda={lam_c[k]:.6g}: "
                     f"circle {alphas[0]:.8g} vs psi/psi^[1]' {alt:.8g}",
                     stacklevel=2)
-        out.append(EigenRecord(lam=rec.lam, rho=rec.rho,
-                               multiplicity=rec.multiplicity,
-                               alpha_coeffs=tuple(alphas)))
-    return out
+        alpha[h:h + m] = alphas
+    return SpectralData.from_flat(lam, alpha, m1=prob.m1, case=prob.case)
 
 
 def forward_spectral_data(prob: ProblemL, K: int, n_x: int = 1024) -> SpectralData:
-    """find_eigenvalues + weight_numbers, packaged."""
-    eigs = weight_numbers(prob, find_eigenvalues(prob, K, n_x), n_x)
-    return SpectralData.from_records(eigs, m1=prob.m1, case=prob.case)
+    """find_eigenvalues + weight_numbers."""
+    return weight_numbers(prob, find_eigenvalues(prob, K, n_x), n_x)

@@ -349,7 +349,7 @@ def problem_to_json(prob) -> dict:
 def problem_from_json(data) -> FullProblem:
     """FullProblem from a "problem.json" document; a document that breaks the
     schema (a missing key, an unknown sigma kind, a value of the wrong type or
-    range) raises MalformedInput."""
+    range, a boundary pair that is zero or not coprime) raises MalformedInput."""
     try:
         inner = ProblemL(
             sigma=SigmaFunction.from_json(data["sigma"]),
@@ -361,5 +361,5 @@ def problem_from_json(data) -> FullProblem:
             p2=Polynomial.from_json(data.get("p2", [[0.0, 0.0]])),
             inner=inner,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, BothZero, NotCoprime) as exc:
         raise MalformedInput(f"problem: {exc!r}") from None

@@ -249,7 +249,6 @@ class ReconstructionResult:
     N: int
     K: int
     m1: int
-    sigma_result: SigmaResult
     diagnostics: dict
 
 
@@ -284,4 +283,4 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
     }
     return ReconstructionResult(
         x_grid=table.x_grid, sigma=sigma.values, r1=r1, r2=r2,
-        N=contour.N, K=K, m1=m1, sigma_result=sigma, diagnostics=diagnostics)
+        N=contour.N, K=K, m1=m1, diagnostics=diagnostics)

@@ -14,7 +14,7 @@ no Magnus step straddles a kink of the piecewise-linear reconstruction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,18 +44,8 @@ def smooth_grid(values: np.ndarray, x_grid: np.ndarray, width: float) -> np.ndar
     return out
 
 
-@dataclass
-class RefinedResult:
-    x_grid: np.ndarray
-    sigma: np.ndarray
-    r1: Polynomial
-    r2: Polynomial
-    base: ReconstructionResult
-    diagnostics: dict
-
-
 def invert_refined(sd: SpectralData, K: int | None = None,
-                   n_x: int = 512) -> RefinedResult:
+                   n_x: int = 512) -> ReconstructionResult:
     """invert_spectral_data plus one defect-correction pass.
 
     The pass forwards the smoothed reconstruction on its sample grid refined
@@ -78,12 +68,11 @@ def invert_refined(sd: SpectralData, K: int | None = None,
     diagnostics = dict(res0.diagnostics)
     diagnostics["refine_corrections"] = [float(np.max(np.abs(delta)))]
     diagnostics["bc_constant_refined"] = complex(r2_est.coeffs[0]) if r2_est.coeffs else 0j
-    return RefinedResult(x_grid=xs, sigma=sig_est, r1=r1_est, r2=r2_est,
-                         base=res0, diagnostics=diagnostics)
+    return replace(res0, sigma=sig_est, r1=r1_est, r2=r2_est, diagnostics=diagnostics)
 
 
 @dataclass
-class RegularResult(RefinedResult):
+class RegularResult(ReconstructionResult):
     """invert_refined's result in classical form: sigma with its right band
     rebuilt from q = sigma', and r2_check = r2 - sigma(pi) r1."""
 
@@ -98,7 +87,7 @@ def invert_regular(sd: SpectralData, K: int | None = None,
     """The regular-layer chain: invert_refined, recover_q, rebuild_sigma_tail
     and check_r2_shift."""
     ref = invert_refined(sd, K=K, n_x=n_x)
-    q, qdiag = recover_q(ref.sigma, ref.x_grid, ref.base.K)
+    q, qdiag = recover_q(ref.sigma, ref.x_grid, ref.K)
     sigma, sigma_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
     return RegularResult(**{**vars(ref), "sigma": sigma}, q=q, sigma_pi=sigma_pi,
                          r2_check=check_r2_shift(ref.r2, ref.r1, sigma_pi), q_diagnostics=qdiag)

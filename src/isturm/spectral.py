@@ -17,40 +17,19 @@ from .problem import Polynomial, poly_eval
 _CLUSTER_RTOL = 1e-8  # entries or found roots this close (relative) are one eigenvalue
 
 
-@dataclass(frozen=True)
-class EigenRecord:
-    """One pole of the Weyl function: location, multiplicity, principal part."""
-
-    lam: complex
-    rho: complex
-    multiplicity: int
-    alpha_coeffs: tuple
-
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity {self.multiplicity} is not positive")
-        if self.alpha_coeffs and len(self.alpha_coeffs) != self.multiplicity:
-            raise ValueError("alpha_coeffs length must equal multiplicity")
-
-
 def group_multiplicities(lams):
-    """Index set I and multiplicity map from a flattened eigenvalue list.
+    """0-based cluster heads and their sizes in a flattened eigenvalue list.
 
-    Equality is tested at 1e-8 (1 + |lambda|); indices are 1-based to match
-    the usual numbering convention.  Multiple eigenvalues must be consecutive.
+    An entry within 1e-8 (1 + |lambda|) of the current head joins its
+    cluster, so multiple eigenvalues must be consecutive.
     """
     lams = np.asarray(lams, dtype=complex)
-    I = [1]
-    m = {}
-    head = 0
-    for n in range(1, len(lams)):
-        if abs(lams[n] - lams[head]) <= _CLUSTER_RTOL * (1 + abs(lams[n])):
+    heads = []
+    for n, z in enumerate(lams):
+        if heads and abs(z - lams[heads[-1]]) <= _CLUSTER_RTOL * (1 + abs(z)):
             continue
-        m[I[-1]] = n - head
-        head = n
-        I.append(n + 1)
-    m[I[-1]] = len(lams) - head
-    return I, m
+        heads.append(n)
+    return tuple(heads), tuple(np.diff(heads + [len(lams)]).tolist())
 
 
 @dataclass(frozen=True)
@@ -73,29 +52,9 @@ class SpectralData:
     def from_flat(cls, lams, alphas, m1=None, case=None) -> "SpectralData":
         lams = np.asarray(lams, dtype=complex)
         alphas = np.asarray(alphas, dtype=complex)
-        I, mmap = group_multiplicities(lams)
-        heads = tuple(i - 1 for i in I)
-        sizes = tuple(mmap[i] for i in I)
+        heads, sizes = group_multiplicities(lams)
         return cls(lam=lams, rho=np.asarray(sqrt_lambda(lams)), alpha=alphas,
                    heads=heads, sizes=sizes, m1=m1, case=case)
-
-    @classmethod
-    def from_records(cls, records: list[EigenRecord], m1=None, case=None) -> "SpectralData":
-        lams, alphas = [], []
-        for r in records:
-            aleft = r.alpha_coeffs if r.alpha_coeffs else (0.0,) * r.multiplicity
-            for j in range(r.multiplicity):
-                lams.append(r.lam)
-                alphas.append(aleft[j])
-        return cls.from_flat(lams, alphas, m1=m1, case=case)
-
-    def records(self) -> list[EigenRecord]:
-        out = []
-        for h, m in zip(self.heads, self.sizes):
-            out.append(EigenRecord(lam=complex(self.lam[h]), rho=complex(self.rho[h]),
-                                   multiplicity=m,
-                                   alpha_coeffs=tuple(complex(a) for a in self.alpha[h:h + m])))
-        return out
 
     def truncated(self, K: int) -> "SpectralData":
         """First K flattened entries; never splits a cluster or reads past
@@ -110,18 +69,14 @@ class SpectralData:
         return SpectralData.from_flat(self.lam[:K], self.alpha[:K], m1=self.m1, case=self.case)
 
 
-def detect_M1(eigs) -> tuple[int, str]:
+def detect_M1(sd: SpectralData) -> tuple[int, str]:
     """Degree index M1 and case flag from the eigenvalue asymptotics.
 
-    Averages n - 1 - Re(rho_n) over the last third of the records; an offset
+    Averages n - 1 - Re(rho_n) over the last third of the entries; an offset
     near an integer means deg(r1) >= deg(r2), near a half-integer means the
     opposite case.  A fractional part in (0.2, 0.3) or (0.7, 0.8) is ambiguous.
     """
-    if isinstance(eigs, SpectralData):
-        rho = eigs.rho
-    else:
-        rho = np.asarray([r.rho for r in eigs for _ in range(r.multiplicity)],
-                         dtype=complex)
+    rho = sd.rho
     K = len(rho)
     if K < 20:
         raise MalformedInput("detect_M1 needs at least 20 eigenvalues: give M1 in the data")
@@ -162,23 +117,14 @@ def _principal_part_sum(lam: np.ndarray, families) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeylPartialFraction:
-    """Pole/principal-part records plus a model tail for indices beyond them."""
-
-    data: SpectralData
-    tail_model: object  # ModelData-like: lambda_tilde(n), alpha_tilde(n)
-
-
-def eval_partial_fraction(pf: WeylPartialFraction, lam, K_tail: int):
-    """Sum of the stored principal parts plus model-tail poles up to K_tail."""
+def eval_partial_fraction(sd: SpectralData, md, lam, K_tail: int):
+    """Sum of the principal parts of sd plus the poles of the model md
+    (lambda_tilde(n), alpha_tilde(n)) with indices sd.K < n <= K_tail."""
     lam_arr, shaped = lam_batch(lam)
-    sd = pf.data
     if np.any(np.min(np.abs(lam_arr[:, None] - sd.lam[None, :]), axis=1)
               <= 1e-8 * (1 + np.abs(lam_arr))):
         raise AtPole("partial fraction evaluated at a stored pole")
     out = _principal_part_sum(lam_arr, ((sd, 1.0),))
-    md = pf.tail_model
     n_tail = np.arange(sd.K + 1, K_tail + 1)
     if len(n_tail):
         lt = np.asarray([md.lambda_tilde(n) for n in n_tail], dtype=complex)
@@ -197,11 +143,11 @@ def spectral_data_to_json(sd: SpectralData) -> dict:
         "case": sd.case or "M1=M2",
         "eigs": [
             {
-                "lambda": cplx(r.lam),
-                "multiplicity": r.multiplicity,
-                "alpha": [cplx(a) for a in r.alpha_coeffs],
+                "lambda": cplx(sd.lam[h]),
+                "multiplicity": m,
+                "alpha": [cplx(a) for a in sd.alpha[h:h + m]],
             }
-            for r in sd.records()
+            for h, m in zip(sd.heads, sd.sizes)
         ],
     }
 
@@ -222,21 +168,24 @@ def spectral_data_from_json(data) -> SpectralData:
         eigs = list(data["eigs"])
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"spectral data without an 'eigs' list: {exc!r}") from None
-    records = []
+    lams, alphas, distinct = [], [], []
     for i, e in enumerate(eigs):
         try:
             lam = from_pair(e["lambda"])
             m = _integer(e["multiplicity"])
-            if m > MAX_DERIV_ORDER:
-                raise ValueError(f"multiplicity {m} exceeds the cap {MAX_DERIV_ORDER}")
-            records.append(EigenRecord(
-                lam=lam, rho=complex(sqrt_lambda(lam)), multiplicity=m,
-                alpha_coeffs=tuple(from_pair(a) for a in e["alpha"]),
-            ))
+            if not 1 <= m <= MAX_DERIV_ORDER:
+                raise ValueError(f"multiplicity {m} is outside 1..{MAX_DERIV_ORDER}")
+            alpha = [from_pair(a) for a in e["alpha"]]
+            if len(alpha) != m:
+                raise ValueError(f"{len(alpha)} alpha coefficients for multiplicity {m}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"eigs[{i}]: {exc!r}") from None
-    lams = np.array([r.lam for r in records], dtype=complex)
-    same = np.triu(np.abs(lams[:, None] - lams) <= _CLUSTER_RTOL * (1 + np.abs(lams)), 1)
+        distinct.append(lam)
+        lams += [lam] * m
+        alphas += alpha
+    distinct = np.array(distinct, dtype=complex)
+    same = np.triu(np.abs(distinct[:, None] - distinct)
+                   <= _CLUSTER_RTOL * (1 + np.abs(distinct)), 1)
     if same.any():
         i, j = np.argwhere(same)[0]
         raise MalformedInput(f"eigs[{i}] and eigs[{j}] have one lambda; a multiple "
@@ -248,4 +197,4 @@ def spectral_data_from_json(data) -> SpectralData:
     case = data.get("case")
     if case not in (None, "M1=M2", "M1=M2-1"):
         raise MalformedInput(f"case {case!r} is neither 'M1=M2' nor 'M1=M2-1'")
-    return SpectralData.from_records(records, m1=None if m1 < 0 else m1, case=case)
+    return SpectralData.from_flat(lams, alphas, m1=None if m1 < 0 else m1, case=case)

@@ -84,7 +84,7 @@ def regular_roundtrip(full: FullProblem, K: int, n_x_forward: int = 1024,
         "result": reg,
         "diagnostics": {**reg.diagnostics, **reg.q_diagnostics},
     })
-    if reg.base.m1 == 0:
+    if reg.m1 == 0:
         report["b0"] = complex(reg.r2.coeffs[0])
         report["b0_check"] = complex(reg.r2.coeffs[0] - reg.sigma_pi)
     return report

@@ -1,17 +1,21 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from isturm import (ModelData, Polynomial, ProblemL, SigmaStep, SigmaZero, find_eigenvalues,
-                    integrate_solution, problem_to_json)
+from isturm import (ModelData, Polynomial, ProblemL, SigmaGridSamples, SigmaPolynomialInX,
+                    SigmaStep, SigmaZero, find_eigenvalues, integrate_solution,
+                    problem_from_json, problem_to_json)
 from isturm import cli
 from isturm._util import write_json_atomic
 from isturm.cli import main
 from isturm.errors import (AmbiguousOffset, CountMismatch, FitResidualTooLarge,
                            MalformedInput, Singular, UnsupportedCase)
-from isturm.spectral import spectral_data_from_json
+from isturm.spectral import spectral_data_from_json, spectral_data_to_json
 
 PI = np.pi
 
@@ -147,7 +151,7 @@ def test_missing_config_is_io_error(tmp_path):
                                   "multiplicity-fractional", "multiplicity-four",
                                   "M1-three", "case-bogus", "case-list",
                                   "M1-absent-short", "lambda-bool", "multiplicity-bool",
-                                  "M1-bool"])
+                                  "M1-bool", "alpha-empty"])
 def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
     # the model data opens with a triple zero, then a simple pole at 1
     sd_path = tmp_path / "sd.json"
@@ -207,6 +211,8 @@ def test_malformed_spectral_data_exit_code(tmp_path, capsys, case):
         data["eigs"][1]["multiplicity"] = True
     elif case == "M1-bool":
         data["M1"] = False
+    elif case == "alpha-empty":  # no coefficient is not m zero coefficients
+        data["eigs"][0]["alpha"] = []
     else:
         K = "2"
     sd_path.write_text(json.dumps(data))  # plain json: it writes NaN and Infinity
@@ -274,6 +280,77 @@ def test_malformed_config_values_exit_code(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("height", [1e308, -1e308, 1e308j])
+def test_huge_step_height_exit_code(tmp_path, capsys, height):
+    # the eigenvalue search would integrate where the solutions overflow: one
+    # typed error before any scan, as a height of -300 already gets
+    cfg = _write_problem(tmp_path / "problem.json", [1], [1], sigma=SigmaStep(height, PI / 2))
+    capsys.readouterr()
+    code = main(["forward", "--config", str(cfg), "--K", "5", "--nx", "65",
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# Values a mutation puts in place of a key's or a list entry's value.
+_BAD_VALUES = st.sampled_from(["x", None, {}, [], True, False, float("nan"), 1e308, -1e308,
+                               10 ** 400, -(10 ** 400), 0, -1, 1.9, [1.0], [[]], [None, 0.0]])
+_VALID_DOCS = {
+    "spectral": [spectral_data_to_json(ModelData(2).spectral_data(10)),
+                 spectral_data_to_json(ModelData(0).spectral_data(4))],
+    "problem": [problem_to_json(ProblemL(sigma, Polynomial([1, 1]), Polynomial([0.5j])))
+                for sigma in (SigmaZero(), SigmaStep(1.0, 1.5), SigmaPolynomialInX([0, 1]),
+                              SigmaGridSamples([0.0, 1.0, 0.5]))],
+}
+_LOADERS = {"spectral": spectral_data_from_json, "problem": problem_from_json}
+
+
+def _paths(doc, prefix=()):
+    """Key/index path of every value nested in doc."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out += [prefix + (key,)] + _paths(value, prefix + (key,))
+    return out
+
+
+@st.composite
+def _mutated(draw, docs):
+    """A valid document with one to three of its values dropped or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths(doc)
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(_BAD_VALUES))
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loaders_take_mutated_documents(kind, data):
+    # a mutated document loads or is malformed input; no other error escapes
+    doc = data.draw(st.one_of(_mutated(_VALID_DOCS[kind]), _BAD_VALUES))
+    try:
+        _LOADERS[kind](doc)
+    except MalformedInput:
+        pass
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -1,5 +1,3 @@
-import dataclasses
-
 import mpmath
 import numpy as np
 import pytest
@@ -9,8 +7,8 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from isturm import (ModelData, Polynomial, ProblemL, SigmaPolynomialInX, SigmaStep,
-                    SigmaZero, char_delta, find_eigenvalues, integrate_solution,
-                    weight_numbers, weyl_M)
+                    SigmaZero, char_delta, find_eigenvalues, group_multiplicities,
+                    integrate_solution, weight_numbers, weyl_M)
 from isturm import forward
 from isturm._util import sqrt_lambda
 from isturm.errors import NonFiniteState
@@ -239,16 +237,14 @@ def test_char_delta_robin_bisection_oracle():
 
 def test_find_eigenvalues_model():
     prob = ProblemL(SigmaZero(), Polynomial([0, 1]), Polynomial([0]))
-    eigs = find_eigenvalues(prob, 5, 512)
-    flat = [r.lam for r in eigs for _ in range(r.multiplicity)]
+    flat = find_eigenvalues(prob, 5, 512)
     np.testing.assert_allclose(flat, [0, 0, 1, 4, 9], atol=1e-8)
-    assert eigs[0].multiplicity == 2
+    assert group_multiplicities(flat)[1][0] == 2
 
 
 def test_find_eigenvalues_neumann():
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([0]))
-    eigs = find_eigenvalues(prob, 4, 512)
-    flat = [r.lam for r in eigs for _ in range(r.multiplicity)]
+    flat = find_eigenvalues(prob, 4, 512)
     np.testing.assert_allclose(flat, [0, 1, 4, 9], atol=1e-9)
 
 
@@ -260,7 +256,7 @@ def test_find_eigenvalues_robin_vs_bisection():
     want = [brentq(f, 1e-9, 0.5 - 1e-9, xtol=1e-14) ** 2,
             brentq(f, 1.0 + 1e-9, 1.5, xtol=1e-14) ** 2,
             brentq(f, 2.0 + 1e-9, 2.5, xtol=1e-14) ** 2]
-    np.testing.assert_allclose([r.lam for r in eigs], want, atol=1e-8)
+    np.testing.assert_allclose(eigs, want, atol=1e-8)
 
 
 def _closed_form_delta(lam, c, h, a=PI / 2):
@@ -300,10 +296,9 @@ def test_find_eigenvalues_batch_budget(monkeypatch, h, c, K, budget):
     # both halves of each split in one batch
     prob = ProblemL(SigmaStep(h, PI / 2) if h else SigmaZero(), Polynomial([1]), Polynomial([c]))
     calls = _count_batches(monkeypatch)
-    eigs = find_eigenvalues(prob, K, 1024)
+    lam = find_eigenvalues(prob, K, 1024)
     assert len(calls) <= budget
-    assert [r.multiplicity for r in eigs] == [1] * K
-    lam = np.array([r.lam for r in eigs])
+    assert group_multiplicities(lam)[1] == (1,) * K
     assert np.min(np.abs(lam[:, None] - lam[None, :]) + np.eye(K)) > 0.1
     with mpmath.workdps(30):
         for z in lam:
@@ -314,13 +309,12 @@ def test_find_eigenvalues_batch_budget(monkeypatch, h, c, K, budget):
 def test_find_eigenvalues_general_sigma_complex_certified(monkeypatch):
     prob = ProblemL(SigmaPolynomialInX([0, 1, 0.05]), Polynomial([1]), Polynomial([1.25 + 1.3j]))
     calls = _count_batches(monkeypatch)
-    eigs = find_eigenvalues(prob, 40, 1024)
+    lam = find_eigenvalues(prob, 40, 1024)
     assert len(calls) <= 40
-    assert [r.multiplicity for r in eigs] == [1] * 40
+    assert group_multiplicities(lam)[1] == (1,) * 40
     # independent argument-principle check, as criterion 11 makes it: winding
     # number 1 on a 512-point circle of a third of the distance to the
     # nearest other root
-    lam = np.array([r.lam for r in eigs])
     gap = np.min(np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(40, np.inf)), axis=1)
     z = lam[:, None] + gap[:, None] / 3 * np.exp(2j * PI * np.arange(513) / 512)
     vals = char_delta(prob, z.ravel(), 1024).reshape(z.shape)
@@ -335,11 +329,11 @@ def test_find_eigenvalues_real_roots_change_sign(h, xj, b, K):
     # a real Robin problem with a step sigma: exactly K real eigenvalues,
     # and Delta changes sign across each simple one
     prob = ProblemL(SigmaStep(h, xj), Polynomial([1]), Polynomial([b]))
-    eigs = find_eigenvalues(prob, K, 256)
-    assert sum(r.multiplicity for r in eigs) == K
-    lam = np.array([r.lam for r in eigs])
+    lam = find_eigenvalues(prob, K, 256)
+    heads, sizes = group_multiplicities(lam)
+    assert sum(sizes) == K
     assert np.all(np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam)))
-    simple = lam.real[[r.multiplicity == 1 for r in eigs]]
+    simple = lam.real[[h for h, m in zip(heads, sizes) if m == 1]]
     eps = 1e-8 * np.maximum(1.0, np.abs(simple))
     d = np.real(char_delta(prob, np.concatenate([simple - eps, simple + eps]), 256))
     assert np.all(d[:len(simple)] * d[len(simple):] < 0)
@@ -350,21 +344,22 @@ def test_unclosed_brackets_are_dropped_to_the_seeded_path(monkeypatch):
     # the roots, the master count sends the problem to the seeded path, and
     # that path finds the same K simple roots
     prob = ProblemL(SigmaStep(1.0, PI / 2), Polynomial([1]), Polynomial([1]))
-    want = np.array([r.lam for r in find_eigenvalues(prob, 20, 1024)])
+    want = find_eigenvalues(prob, 20, 1024)
     monkeypatch.setattr(forward, "_illinois", lambda *args, **kwargs: None)
-    eigs = find_eigenvalues(prob, 20, 1024)
-    assert [r.multiplicity for r in eigs] == [1] * 20
-    got = np.array([r.lam for r in eigs])
+    got = find_eigenvalues(prob, 20, 1024)
+    assert group_multiplicities(got)[1] == (1,) * 20
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
 
-@pytest.mark.parametrize("fallback", ["certificate-fails", "no-seeded-roots"])
+@pytest.mark.parametrize("fallback", ["certificate-fails", "no-seeded-roots",
+                                      "low-zone-mismatch"])
 def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
     # a failed certificate moves its index and all below it into the low zone,
-    # which box subdivision resolves; with no seeded roots the whole master
-    # box is subdivided.  Both give the roots of the unpatched search.
+    # which box subdivision resolves; with no seeded roots, or a low-zone count
+    # that does not add up with the certified roots, the whole master box is
+    # subdivided.  All give the roots of the unpatched search.
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
-    want = np.array([r.lam for r in find_eigenvalues(prob, 12, 512)])
+    want = find_eigenvalues(prob, 12, 512)
     rejected = []
     if fallback == "certificate-fails":
         plain = forward._winds_once
@@ -376,13 +371,26 @@ def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
                 ok[len(ok) // 2] = False
             return ok
         monkeypatch.setattr(forward, "_winds_once", reject_one)
-    else:
+    elif fallback == "no-seeded-roots":
         # list.append returns None: the seeded path never offers roots
         monkeypatch.setattr(forward, "_seeded_roots", lambda *args: rejected.append(0))
-    eigs = find_eigenvalues(prob, 12, 512)
+    else:
+        plain_count, plain_seeded = forward._box_count, forward._seeded_roots
+
+        def off_by_one(f, boxes):  # the one count _seeded_roots makes: the low zone
+            return [n + 1 for n in plain_count(f, boxes)]
+
+        def seeded(*args):
+            monkeypatch.setattr(forward, "_box_count", off_by_one)
+            out = plain_seeded(*args)
+            monkeypatch.setattr(forward, "_box_count", plain_count)
+            if out is None:
+                rejected.append(0)
+            return out
+        monkeypatch.setattr(forward, "_seeded_roots", seeded)
+    got = find_eigenvalues(prob, 12, 512)
     assert rejected
-    assert [r.multiplicity for r in eigs] == [1] * 12
-    got = np.array([r.lam for r in eigs])
+    assert group_multiplicities(got)[1] == (1,) * 12
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -406,16 +414,14 @@ def test_polish_simple_flat_secant_takes_no_step():
 
 def test_weight_numbers_model_m1():
     prob = ProblemL(SigmaZero(), Polynomial([0, 1]), Polynomial([0]))
-    eigs = weight_numbers(prob, find_eigenvalues(prob, 5, 512), 512)
-    flat = [a for r in eigs for a in r.alpha_coeffs]
-    np.testing.assert_allclose(flat, [1 / PI, 0, 2 / PI, 2 / PI, 2 / PI], atol=1e-9)
+    sd = weight_numbers(prob, find_eigenvalues(prob, 5, 512), 512)
+    np.testing.assert_allclose(sd.alpha, [1 / PI, 0, 2 / PI, 2 / PI, 2 / PI], atol=1e-9)
 
 
 def test_weight_numbers_neumann():
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([0]))
-    eigs = weight_numbers(prob, find_eigenvalues(prob, 4, 512), 512)
-    flat = [a for r in eigs for a in r.alpha_coeffs]
-    np.testing.assert_allclose(flat, [1 / PI, 2 / PI, 2 / PI, 2 / PI], atol=1e-9)
+    sd = weight_numbers(prob, find_eigenvalues(prob, 4, 512), 512)
+    np.testing.assert_allclose(sd.alpha, [1 / PI, 2 / PI, 2 / PI, 2 / PI], atol=1e-9)
 
 
 def test_weight_numbers_robin_vs_closed_form_quadrature(robin_sd25):
@@ -447,21 +453,21 @@ def test_weight_numbers_exactly_real_for_real_problems(robin_sd25, poly_sd40, st
     assert poly_sd40[1].lam[0].real < 0
     # a complex problem keeps complex weights at its real poles too
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
-    eigs = weight_numbers(prob, find_eigenvalues(prob, 8, 512), 512)
-    assert all(a.imag != 0 for r in eigs for a in r.alpha_coeffs)
+    sd = weight_numbers(prob, find_eigenvalues(prob, 8, 512), 512)
+    assert all(a.imag != 0 for a in sd.alpha)
 
 
 def test_weight_check_fires_on_complex_pole_off_its_root():
     # the circle still encloses the root and returns its residue, but the
     # same-sample residue psi(0)/psi^[1]' is taken at the moved centre
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
-    eigs = find_eigenvalues(prob, 8, 512)
-    weight_numbers(prob, eigs, 512)  # no warning at the roots themselves
+    lam = find_eigenvalues(prob, 8, 512)
+    weight_numbers(prob, lam, 512)  # no warning at the roots themselves
     k = 3
-    assert abs(eigs[k].lam.imag) > 0.1 and eigs[k].multiplicity == 1
-    eigs[k] = dataclasses.replace(eigs[k], lam=eigs[k].lam * (1 + 1e-6))
+    assert abs(lam[k].imag) > 0.1 and group_multiplicities(lam)[1][k] == 1
+    lam[k] = lam[k] * (1 + 1e-6)
     with pytest.warns(UserWarning, match="weight number cross-check"):
-        weight_numbers(prob, eigs, 512)
+        weight_numbers(prob, lam, 512)
 
 
 def test_weyl_M_closed_form_value():
@@ -522,8 +528,7 @@ def test_grid_convergence_smooth_sigma():
     prob = ProblemL(SigmaPolynomialInX([0, 1]), Polynomial([1]), Polynomial([0]))
     lams = {}
     for n_x in (256, 512, 1024):
-        eigs = find_eigenvalues(prob, 6, n_x)
-        lams[n_x] = np.array([r.lam for r in eigs])
+        lams[n_x] = find_eigenvalues(prob, 6, n_x)
     e1 = np.max(np.abs(lams[256] - lams[1024]))
     e2 = np.max(np.abs(lams[512] - lams[1024]))
     assert e2 < e1 / 3.0  # at least second order

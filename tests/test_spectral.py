@@ -8,55 +8,55 @@ from hypothesis import strategies as st
 from isturm import (Polynomial, ProblemL, SigmaStep, SpectralData, detect_M1,
                     eval_partial_fraction, group_multiplicities, reduce_weyl, weyl_M,
                     weyl_M1)
-from isturm._util import canonical_dumps, sqrt_lambda
+from isturm._util import canonical_dumps
 from isturm.errors import AmbiguousOffset, AtPole, DenominatorZero
 from isturm.model import ModelData
-from isturm.spectral import (EigenRecord, WeylPartialFraction,
-                             spectral_data_from_json, spectral_data_to_json)
+from isturm.spectral import spectral_data_from_json, spectral_data_to_json
 
 PI = np.pi
 
 
 def test_group_multiplicities_model_pattern():
-    I, m = group_multiplicities([0, 0, 1, 4])
-    assert I == [1, 3, 4]
-    assert m[1] == 2 and m[3] == 1 and m[4] == 1
+    heads, sizes = group_multiplicities([0, 0, 1, 4])
+    assert heads == (0, 2, 3)
+    assert sizes == (2, 1, 1)
 
 
 def test_group_multiplicities_distinct():
-    I, m = group_multiplicities([1, 2, 3])
-    assert I == [1, 2, 3]
-    assert all(v == 1 for v in m.values())
+    heads, sizes = group_multiplicities([1, 2, 3])
+    assert heads == (0, 1, 2)
+    assert all(v == 1 for v in sizes)
 
 
 def test_group_multiplicities_triple():
-    I, m = group_multiplicities([1, 1, 1, 4])
-    assert I == [1, 4]
-    assert m[1] == 3
+    heads, sizes = group_multiplicities([1, 1, 1, 4])
+    assert heads == (0, 3)
+    assert sizes[0] == 3
+
+
+def _simple_poles(rho):
+    """SpectralData of simple poles at rho**2 that keeps the given rho signs."""
+    n = len(rho)
+    return SpectralData(lam=rho**2 + 0j, rho=rho + 0j, alpha=np.ones(n, dtype=complex),
+                        heads=tuple(range(n)), sizes=(1,) * n)
 
 
 def test_detect_M1_integer_offset():
     rho = np.arange(1, 31) - 2.0
-    sd = SpectralData.from_flat(np.maximum(rho, 0) ** 2 * 0 + rho**2,
-                                np.full(30, 2 / PI))
-    # use explicit records to keep rho signs: construct directly
-    m1, case = detect_M1([EigenRecord(lam=r**2, rho=r, multiplicity=1, alpha_coeffs=(1,))
-                          for r in rho])
+    m1, case = detect_M1(_simple_poles(rho))
     assert (m1, case) == (1, "M1=M2")
 
 
 def test_detect_M1_half_offset():
     rho = np.arange(1, 31) - 2.5
-    m1, case = detect_M1([EigenRecord(lam=r**2, rho=r, multiplicity=1, alpha_coeffs=(1,))
-                          for r in rho])
+    m1, case = detect_M1(_simple_poles(rho))
     assert (m1, case) == (1, "M1=M2-1")
 
 
 def test_detect_M1_ambiguous():
     rho = np.arange(1, 31) - 1.25
     with pytest.raises(AmbiguousOffset):
-        detect_M1([EigenRecord(lam=r**2, rho=r, multiplicity=1, alpha_coeffs=(1,))
-                   for r in rho])
+        detect_M1(_simple_poles(rho))
 
 
 def test_detect_M1_forward_data(step_poly_sd40):
@@ -119,36 +119,31 @@ def test_reduce_weyl_denominator_zero():
 
 def test_partial_fraction_model_tail():
     md = ModelData(0)
-    pf = WeylPartialFraction(md.spectral_data(40), md)
-    got = eval_partial_fraction(pf, -1.0, 2000)
+    got = eval_partial_fraction(md.spectral_data(40), md, -1.0, 2000)
     want = -np.cosh(PI) / np.sinh(PI)  # closed form at rho = i
     assert abs(got - want) < 2e-3
 
 
 def test_partial_fraction_single_record():
     sd = SpectralData.from_flat([2.0], [1.0])
-    pf = WeylPartialFraction(sd, ModelData(0))
-    assert abs(eval_partial_fraction(pf, 3.0, 1) - 1.0) < 1e-15
+    assert abs(eval_partial_fraction(sd, ModelData(0), 3.0, 1) - 1.0) < 1e-15
 
 
 def test_partial_fraction_double_pole():
     sd = SpectralData.from_flat([0.0, 0.0], [0.0, 1.0])
-    pf = WeylPartialFraction(sd, ModelData(0))
-    assert abs(eval_partial_fraction(pf, 2.0, 2) - 0.25) < 1e-15
+    assert abs(eval_partial_fraction(sd, ModelData(0), 2.0, 2) - 0.25) < 1e-15
 
 
 def test_partial_fraction_at_pole():
     sd = SpectralData.from_flat([2.0], [1.0])
-    pf = WeylPartialFraction(sd, ModelData(0))
     with pytest.raises(AtPole):
-        eval_partial_fraction(pf, 2.0 + 1e-10, 1)
+        eval_partial_fraction(sd, ModelData(0), 2.0 + 1e-10, 1)
 
 
 def test_partial_fraction_vs_weyl_M(robin_sd25):
     prob, sd = robin_sd25
-    pf = WeylPartialFraction(sd, ModelData(0))
     lam = -2.0 + 1.0j  # distance >= 1 from the spectrum
-    got = eval_partial_fraction(pf, lam, 4000)
+    got = eval_partial_fraction(sd, ModelData(0), lam, 4000)
     want = weyl_M(prob, lam, 1024)
     assert abs(got - want) < 5.0 / 4000 + 2e-3  # tail-bound scale
 
@@ -157,14 +152,14 @@ def test_partial_fraction_vs_weyl_M(robin_sd25):
 def _spectral_data(draw):
     """SpectralData of 1..6 records 0.5 apart, multiplicities 1..3."""
     base = draw(st.lists(st.integers(-20, 400), min_size=1, max_size=6, unique=True))
-    records = []
+    lams, alphas = [], []
     for n in base:
         lam = complex(n + draw(st.floats(0.0, 0.5)), draw(st.floats(-3.0, 3.0)))
         m = draw(st.integers(1, 3))
-        alphas = tuple(draw(st.lists(_cplx, min_size=m, max_size=m)))
-        records.append(EigenRecord(lam, complex(sqrt_lambda(lam)), m, alphas))
-    return SpectralData.from_records(records, m1=draw(st.one_of(st.none(), st.integers(0, 2))),
-                                     case=draw(st.sampled_from([None, "M1=M2", "M1=M2-1"])))
+        lams += [lam] * m
+        alphas += draw(st.lists(_cplx, min_size=m, max_size=m))
+    return SpectralData.from_flat(lams, alphas, m1=draw(st.one_of(st.none(), st.integers(0, 2))),
+                                  case=draw(st.sampled_from([None, "M1=M2", "M1=M2-1"])))
 
 
 def _text(sd):
