@@ -44,15 +44,18 @@ class SolutionTrace:
 
 
 def _step_mesh(sigma: SigmaFunction, n_x: int):
-    """Uniform n_x-node grid over [0, pi] with sigma jump points inserted.
+    """Uniform n_x-node grid over [0, pi] with sigma's breakpoints inserted;
+    one within 1e-12 of a grid node is that node, so no sliver step arises.
 
     Returns (mesh, take) where take[i] is the mesh index of uniform node i.
     """
     base = np.linspace(0.0, PI, n_x)
-    jumps = [j for j in sigma.jump_points() if 0.0 < j < PI]
-    if not jumps:
+    pts = np.asarray(sigma.breakpoints(), dtype=float)
+    pts = pts[(pts > 0.0) & (pts < PI)]
+    pts = pts[np.abs(pts - base[np.rint(pts / PI * (n_x - 1)).astype(int)]) > 1e-12]
+    if not pts.size:
         return base, np.arange(n_x)
-    mesh = np.unique(np.concatenate([base, np.asarray(jumps, dtype=float)]))
+    mesh = np.unique(np.concatenate([base, pts]))
     take = np.searchsorted(mesh, base)
     return mesh, take
 

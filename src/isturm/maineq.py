@@ -84,7 +84,7 @@ class MainEquationContext:
     def __init__(self, sd: SpectralData, md: ModelData, K: int | None = None):
         K = sd.K if K is None else K
         sd, mds = sd.truncated(K), md.spectral_data(K)
-        self.sd, self.md, self.mds, self.K = sd, md, mds, K
+        self.sd, self.mds, self.K = sd, mds, K
         self.xi, self.chi = xi_chi(sd, md, K)
 
         fam_sds = (sd, mds)

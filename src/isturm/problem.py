@@ -95,6 +95,8 @@ def poly_gcd_degree(p: Polynomial, q: Polynomial, rtol: float = ZERO_RTOL) -> in
         return q.degree()
     if q.is_zero:
         return p.degree()
+    if p.degree() == 0 or q.degree() == 0:
+        return 0  # a nonzero constant shares no factor, however small
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -151,8 +153,8 @@ class SigmaFunction:
     def __call__(self, x):
         raise NotImplementedError
 
-    def jump_points(self):
-        """Interior points where sigma jumps (mandatory mesh nodes)."""
+    def breakpoints(self):
+        """Interior points where sigma jumps or kinks (mandatory mesh nodes)."""
         return ()
 
     @property
@@ -208,7 +210,7 @@ class SigmaStep(SigmaFunction):
         x = np.asarray(x, dtype=float)
         return np.where(x > self.jump, self.height, 0.0).astype(complex)
 
-    def jump_points(self):
+    def breakpoints(self):
         return (self.jump,)
 
     @property
@@ -230,8 +232,10 @@ class SigmaPolynomialInX(SigmaFunction):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         acc = np.full(x.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * x + c
+        # a huge sigma overflows here; its caller raises the typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in self.coeffs[-2::-1]:
+                acc = acc * x + c
         return acc
 
     @property
@@ -259,6 +263,9 @@ class SigmaGridSamples(SigmaFunction):
         re = np.interp(x, self.grid, self.values.real)
         im = np.interp(x, self.grid, self.values.imag)
         return re + 1j * im
+
+    def breakpoints(self):
+        return self.grid[1:-1]
 
     @property
     def is_real(self):

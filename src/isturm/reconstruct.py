@@ -14,7 +14,8 @@ The sigma series converges in the mean-square sense only: at x = pi it has a
 measure-zero defect (it tends to sigma(pi) + 2 d, d the top coefficient of the
 padded r2).  The grid therefore gets an endpoint repair by extrapolation; the
 raw series value at pi is retained because the r2 formula's quasi-derivative
-is self-consistent only with it.
+is self-consistent only with it: reconstruct_r2 reads that value, and the
+residue weights at pi, from the table's last node.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ def choose_contour(ctx: MainEquationContext) -> ContourSpec:
     """Smallest contour index covering the context's multiplicities, the low
     cluster zone and the dominant-xi indices, plus CONTOUR_MARGIN (at most
     K - 2).  The circle only places the fit samples and is reported as N."""
-    K, M1, xi = ctx.K, ctx.md.M1, ctx.xi
+    K, M1, xi = ctx.K, ctx.mds.m1, ctx.xi
     need = {M1 + 1}
     for fam_sd in (ctx.sd, ctx.mds):
         for h, m in zip(fam_sd.heads, fam_sd.sizes):
@@ -115,12 +116,8 @@ def _pairing(ctx: MainEquationContext, W, values, offset: float = 0.0):
 
 @dataclass
 class SigmaResult:
-    x_grid: np.ndarray
     values: np.ndarray          # repaired grid samples
-    raw: np.ndarray             # plain series values
-    sigma_pi_raw: complex       # series value at pi (used by the r2 formula)
-    sigma_pi: complex           # repaired endpoint value
-    defect: complex             # raw - extrapolated at pi
+    raw: np.ndarray             # plain series values; raw[-1] - values[-1] is the defect
 
 
 def reconstruct_sigma(table: PhiTable) -> SigmaResult:
@@ -140,8 +137,7 @@ def reconstruct_sigma(table: PhiTable) -> SigmaResult:
     extrap = np.polyval(coef, xs[fit_hi:] - xs_fit[0])
     values = raw.copy()
     values[fit_hi:] = extrap
-    return SigmaResult(x_grid=xs, values=values, raw=raw, sigma_pi_raw=complex(raw[-1]),
-                       sigma_pi=complex(values[-1]), defect=complex(raw[-1] - values[-1]))
+    return SigmaResult(values=values, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +146,7 @@ def reconstruct_sigma(table: PhiTable) -> SigmaResult:
 
 def _g_factor(ctx: MainEquationContext, lam_s: np.ndarray) -> np.ndarray:
     """prod_{k<=M1} (lam - lam_k0) * prod_{M1<k<=K} (lam - lam_k0)/(lam - lam_k1)."""
-    M1 = ctx.md.M1
+    M1 = ctx.mds.m1
     lam0, lam1 = ctx.lam[:ctx.K], ctx.lam[ctx.K:]
     out = np.ones_like(lam_s)
     for k in range(ctx.K):
@@ -168,7 +164,7 @@ def default_lambda_samples(ctx: MainEquationContext, contour: ContourSpec,
     lo = max((np.max(np.abs(inside)) if len(inside) else 0.0) + 5.0,
              contour.radius + 2.0)
     hi = lo + 20.0
-    count = max(count, 2 * ctx.md.M1 + 2)
+    count = max(count, 2 * ctx.mds.m1 + 2)
     t = np.cos(PI * (np.arange(count) + 0.5) / count)
     pts = (lo + hi) / 2 + (hi - lo) / 2 * t + 0.5j
     for _ in range(4):
@@ -191,7 +187,7 @@ def _fit_r(name: str, table: PhiTable, contour: ContourSpec, lam_samples, expres
         lam_samples = default_lambda_samples(ctx, contour)
     lam_s = np.asarray(lam_samples, dtype=complex)
     vals = _g_factor(ctx, lam_s) * expression(lam_s)
-    fit = np.polynomial.Polynomial.fit(lam_s, vals, ctx.md.M1)
+    fit = np.polynomial.Polynomial.fit(lam_s, vals, ctx.mds.m1)
     # the floor keeps identically-zero expressions (model data) from tripping
     # the relative residual
     resid = float(np.max(np.abs(fit(lam_s) - vals)) / max(np.max(np.abs(vals)), 1e-9))
@@ -213,24 +209,18 @@ def reconstruct_r1(table: PhiTable, contour: ContourSpec,
     terms, fitted and checked by _fit_r."""
     coeffs, resid = _fit_r("r1", table, contour, lam_samples, lambda lam: 1.0 - (
         table.ctx.residue_weights(PI, lam, tower=1)[..., :table.K] @ table.phi[:, 0, -1]))
-    lead = coeffs[-1]
-    diag = {"fit_residual": resid, "leading_coeff_raw": complex(lead)}
-    return Polynomial(coeffs / lead), diag
+    return Polynomial(coeffs / coeffs[-1]), {"fit_residual": resid}
 
 
-def reconstruct_r2(table: PhiTable, contour: ContourSpec,
-                   sigma: SigmaResult | None = None,
-                   lam_samples: np.ndarray | None = None):
+def reconstruct_r2(table: PhiTable, contour: ContourSpec):
     """Degree <= M1 polynomial, fitted and checked by _fit_r; the
-    quasi-derivative at pi uses the raw series value of sigma^K(pi)
-    (reconstruct_sigma(table) when sigma is None)."""
-    if sigma is None:
-        sigma = reconstruct_sigma(table)
-    ctx = table.ctx
-    quasi = _quasi_pi(table, sigma.sigma_pi_raw)
+    quasi-derivative at pi uses the raw series value sigma^K(pi), which the
+    table's last node gives as reconstruct_sigma's raw[-1]."""
+    ctx, W, phi_pi = table.ctx, table.weights[-1], table.phi[:, :, -1]
+    quasi = _quasi_pi(table, complex(-2.0 * _pairing(ctx, W, phi_pi, 0.5)))
     # S2, the residues of (phit phiK - 1) hatM at pi; the Robin boundary constant is -S2
-    S2 = complex(_pairing(ctx, ctx.residue_weights(PI), table.phi[:, :, -1], 1.0))
-    coeffs, resid = _fit_r("r2", table, contour, lam_samples, lambda lam: ctx.residue_weights(
+    S2 = complex(_pairing(ctx, W, phi_pi, 1.0))
+    coeffs, resid = _fit_r("r2", table, contour, None, lambda lam: ctx.residue_weights(
         PI, lam, tower=1)[..., :ctx.K] @ quasi - S2)
     diag = {"fit_residual": resid, "bc_constant": complex(-S2)}
     return Polynomial(coeffs), diag
@@ -252,15 +242,14 @@ class ReconstructionResult:
     diagnostics: dict
 
 
-def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
-                         m1: int | None = None) -> ReconstructionResult:
-    """Steps 3..10 of the reconstruction: detect M1, build the model problem,
-    solve the main equation on the grid, apply the reconstruction formulas."""
+def invert_spectral_data(sd: SpectralData, K: int | None = None,
+                         n_x: int = 512) -> ReconstructionResult:
+    """Steps 3..10 of the reconstruction: take M1 from the data (detect it
+    when the data does not carry it), build the model problem, solve the main
+    equation on the grid, apply the reconstruction formulas."""
     K = sd.K if K is None else K
     sd = sd.truncated(K)
-    case = sd.case or "M1=M2"
-    if m1 is None:
-        m1, case = (sd.m1, case) if sd.m1 is not None else detect_M1(sd)
+    m1, case = (sd.m1, sd.case or "M1=M2") if sd.m1 is not None else detect_M1(sd)
     if case != "M1=M2":
         raise UnsupportedCase("reconstruction implements the deg(r1) >= deg(r2) case only")
     md = ModelData(m1)
@@ -269,12 +258,12 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None, n_x: int = 512,
     contour = choose_contour(ctx)
     sigma = reconstruct_sigma(table)
     r1, diag1 = reconstruct_r1(table, contour)
-    r2, diag2 = reconstruct_r2(table, contour, sigma=sigma)
+    r2, diag2 = reconstruct_r2(table, contour)
     diagnostics = {
         "cond_max": float(np.max(table.cond)),
         "cond_median": float(np.median(table.cond)),
         "xi_tail_norm": float(np.sqrt(np.sum(ctx.xi[K // 2:] ** 2))),
-        "endpoint_defect": sigma.defect,
+        "endpoint_defect": complex(sigma.raw[-1] - sigma.values[-1]),
         "r1_fit_residual": diag1["fit_residual"],
         "r2_fit_residual": diag2["fit_residual"],
         "bc_constant": diag2["bc_constant"],

@@ -60,7 +60,7 @@ def invert_refined(sd: SpectralData, K: int | None = None,
     prob = ProblemL(SigmaGridSamples(sig0_s), res0.r1, res0.r2)
     m = int(np.ceil(PI * K / (n_x - 1)))
     sd_p = forward_spectral_data(prob, K, (n_x - 1) * m + 1)
-    res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
+    res_p = invert_spectral_data(sd_p, K=K, n_x=n_x)
     delta = sig0_s - smooth_grid(res_p.sigma, xs, width)
     sig_est = sig0_s + delta
     r1_est = res0.r1 + res0.r1 - res_p.r1
@@ -79,7 +79,6 @@ class RegularResult(ReconstructionResult):
     q: np.ndarray
     sigma_pi: complex
     r2_check: Polynomial
-    q_diagnostics: dict
 
 
 def invert_regular(sd: SpectralData, K: int | None = None,
@@ -87,18 +86,17 @@ def invert_regular(sd: SpectralData, K: int | None = None,
     """The regular-layer chain: invert_refined, recover_q, rebuild_sigma_tail
     and check_r2_shift."""
     ref = invert_refined(sd, K=K, n_x=n_x)
-    q, qdiag = recover_q(ref.sigma, ref.x_grid, ref.K)
-    sigma, sigma_pi = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
+    q = recover_q(ref.sigma, ref.x_grid, ref.K)
+    sigma = rebuild_sigma_tail(ref.sigma, q, ref.x_grid)
+    sigma_pi = complex(sigma[-1])
     return RegularResult(**{**vars(ref), "sigma": sigma}, q=q, sigma_pi=sigma_pi,
-                         r2_check=check_r2_shift(ref.r2, ref.r1, sigma_pi), q_diagnostics=qdiag)
+                         r2_check=check_r2_shift(ref.r2, ref.r1, sigma_pi))
 
 
 def recover_q(sigma_values: np.ndarray, x_grid: np.ndarray, K: int):
     """q = sigma' for the smooth layer: tone-nulling smoothing, five-point
     stencils, and quadratic extrapolation across the EDGE_BANDS, where the
-    series reconstruction is least trustworthy.  Returns (q_values,
-    diagnostics).
-    """
+    series reconstruction is least trustworthy."""
     xs = np.asarray(x_grid, dtype=float)
     h = xs[1] - xs[0]
     sig = smooth_grid(sigma_values, xs, PI / K)
@@ -113,15 +111,13 @@ def recover_q(sigma_values: np.ndarray, x_grid: np.ndarray, K: int):
             continue
         coef = np.polyfit(xs[fit], q[fit], 2)
         q[sel] = np.polyval(coef, xs[sel])
-    diagnostics = {"smooth_width": PI / K, "edge_bands": EDGE_BANDS}
-    return q, diagnostics
+    return q
 
 
 def rebuild_sigma_tail(sigma_values: np.ndarray, q_values: np.ndarray,
                        x_grid: np.ndarray):
     """Replace the right boundary band of sigma (EDGE_BANDS[1]) by integrating
-    the recovered q from the last trusted node; returns (sigma_fixed,
-    sigma_at_pi).
+    the recovered q from the last trusted node.
 
     The series reconstruction of sigma is least reliable against the right
     endpoint; for the smooth layer the antiderivative of q is the better
@@ -133,4 +129,4 @@ def rebuild_sigma_tail(sigma_values: np.ndarray, q_values: np.ndarray,
     h = xs[1] - xs[0]
     tail = np.cumsum(0.5 * (q_values[hi:] + q_values[hi - 1:-1])) * h
     sig[hi:] = sig[hi - 1] + tail
-    return sig, complex(sig[-1])
+    return sig

@@ -152,7 +152,7 @@ def worst_mismatch(table: PhiTable, contour: ContourSpec, ixs=(), lam=None) -> f
     diffs = [abs(sigma_contour_residue(table, contour, table.x_grid[ix])
                  - sigma_contour_quadrature(table, contour, table.x_grid[ix])) for ix in ixs]
     if lam is not None:
-        sigma_pi_raw = reconstruct_sigma(table).sigma_pi_raw
+        sigma_pi_raw = complex(reconstruct_sigma(table).raw[-1])
         diffs.append(abs(r1_contour_residue(table, contour, lam)
                          - r1_contour_quadrature(table, contour, lam)))
         rq, rb = r2_contour_residue(table, contour, lam, sigma_pi_raw)

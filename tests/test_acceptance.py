@@ -66,7 +66,7 @@ def test_criterion_1_model_fixed_point():
         md = ModelData(M1)
         sd = md.spectral_data(40)
         t0 = time.perf_counter()
-        res = invert_spectral_data(sd, K=40, n_x=512, m1=M1)
+        res = invert_spectral_data(sd, K=40, n_x=512)
         t_max = max(t_max, time.perf_counter() - t0)
         worst_sigma = max(worst_sigma, sigma_l2_norm(res.x_grid, res.sigma))
         want_r1 = np.zeros(M1 + 1)
@@ -284,10 +284,10 @@ def test_criterion_11_multiplicity_path():
     alph = base.alpha.copy()
     lam[0] = lam[1] = eigs.lam[0]
     alph[0], alph[1] = alphas
-    sd = SpectralData.from_flat(lam, alph)
+    sd = SpectralData.from_flat(lam, alph, m1=0, case="M1=M2")
     assert sd.sizes[0] == 2
 
-    res = invert_spectral_data(sd, K=K, n_x=257, m1=0)
+    res = invert_spectral_data(sd, K=K, n_x=257)
     ctx = MainEquationContext(sd, md, K)
     table = solve_on_grid(sd, md, K, n_x=257, ctx=ctx)
     contour = choose_contour(ctx)

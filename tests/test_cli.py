@@ -295,6 +295,18 @@ def test_huge_step_height_exit_code(tmp_path, capsys, height):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_huge_poly_sigma_exit_code(tmp_path, capsys):
+    # the overflowing sigma evaluation prints no warning before the error line
+    cfg = _write_problem(tmp_path / "problem.json", [1], [1],
+                         sigma=SigmaPolynomialInX([0, 1e308, 1e308]))
+    capsys.readouterr()
+    code = main(["forward", "--config", str(cfg), "--K", "5", "--nx", "65",
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # Values a mutation puts in place of a key's or a list entry's value.
 _BAD_VALUES = st.sampled_from(["x", None, {}, [], True, False, float("nan"), 1e308, -1e308,
                                10 ** 400, -(10 ** 400), 0, -1, 1.9, [1.0], [[]], [None, 0.0]])

@@ -1,9 +1,11 @@
 """Each demo runs to completion: a demo that imports a deleted public name, or
 fails on the way, exits nonzero or prints a traceback.  The benchmark's
-tracer and BLAS baseline still find every isturm name they use."""
+tracer and BLAS baseline still find every isturm name they use, and one round
+of each benchmark workload passes its own check."""
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +47,29 @@ def test_benchmark_names_resolve():
     md = isturm.ModelData(sd.m1)
     ctx = isturm.MainEquationContext(sd, md, 4)
     inspect.signature(isturm.solve_on_grid).bind(sd, md, 4, n_x=33, ctx=ctx)
+
+
+def _load_bench(monkeypatch, name):
+    """perfbench/<name>.py as module `name`, registered until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
+    # perfbench/workloads.py reads isturm's return values and CLI output, so a
+    # dropped key would first show as a failed benchmark run: run each
+    # workload's operations once at seed 0 and apply their own checks
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.chdir(tmp_path)
+    _load_bench(monkeypatch, "oracle")
+    problems = _load_bench(monkeypatch, "problems")
+    workloads = _load_bench(monkeypatch, "workloads")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in (w["name"] for w in spec["workloads"]):
+        params = problems.draw(workload, 0)
+        for op in workloads.prepare(workload, params, tmp_path):
+            got = op.check(op.call())
+            assert got["ok"], (workload, op.name, got["why"])

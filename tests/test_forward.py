@@ -242,6 +242,24 @@ def test_find_eigenvalues_model():
     assert group_multiplicities(flat)[1][0] == 2
 
 
+def test_triple_zero_eigenvalue_and_weights():
+    # r1 = lam^2 (M1 = 2): a zero of order 3 at the origin, found through the
+    # three-root branch of the moment solve
+    prob = ProblemL(SigmaZero(), Polynomial([0, 0, 1]), Polynomial([0]))
+    flat = find_eigenvalues(prob, 6, 512)
+    np.testing.assert_allclose(flat, [0, 0, 0, 1, 4, 9], atol=1e-12)
+    sd = weight_numbers(prob, flat, 512)
+    np.testing.assert_allclose(sd.alpha, [1 / PI, 0, 0, 2 / PI, 2 / PI, 2 / PI], atol=1e-9)
+
+
+def test_huge_poly_sigma_raises_without_warnings():
+    # the Horner loop overflows quietly (warnings are errors in this suite);
+    # the sup|sigma| check gives the typed error
+    prob = ProblemL(SigmaPolynomialInX([0, 1e308, 1e308]), Polynomial([1]), Polynomial([1]))
+    with pytest.raises(NonFiniteState, match="too large"):
+        find_eigenvalues(prob, 5)
+
+
 def test_find_eigenvalues_neumann():
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([0]))
     flat = find_eigenvalues(prob, 4, 512)

@@ -133,6 +133,16 @@ def test_polynomial_padded_arithmetic_and_trim(p, q, pad):
     assert err <= ZERO_RTOL * scale + 1e-15 * scale
 
 
+def test_small_constant_is_not_a_common_factor():
+    # a nonzero constant shares no factor with anything, however small it is
+    # against the other polynomial's coefficients
+    assert poly_gcd_degree(Polynomial([1, 1e12]), Polynomial([1e-3])) == 0
+    r1, r2, case = normalize_pair(Polynomial([1, 1e12]), Polynomial([1e-3]))
+    assert case == "M1=M2" and r1.coeffs[-1] == 1.0
+    doc = {"sigma": {"kind": "zero"}, "r1": [[1.0, 0.0], [1e308, 0.0]], "r2": [[0.0, 0.5]]}
+    assert problem_from_json(doc).inner.case == "M1=M2"
+
+
 def test_normalize_pair_errors():
     with pytest.raises(BothZero):
         normalize_pair(Polynomial([0]), Polynomial([0]))
@@ -154,7 +164,7 @@ def test_sigma_forms():
     assert np.all(SigmaZero()(x) == 0)
     st = SigmaStep(2.0, np.pi / 2)
     assert st(0.3) == 0 and st(3.0) == 2.0
-    assert st.jump_points() == (np.pi / 2,)
+    assert st.breakpoints() == (np.pi / 2,)
     po = SigmaPolynomialInX([0, 1])
     np.testing.assert_allclose(np.real(po(x)), x)
     gr = SigmaGridSamples(np.sin(np.linspace(0, np.pi, 101)))

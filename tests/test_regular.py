@@ -9,6 +9,7 @@ from isturm import (ModelData, Polynomial, ProblemL, SigmaGridSamples, SigmaPoly
                     invert_spectral_data, reconstruct_r2, reconstruct_sigma, solve_on_grid,
                     weyl_M1)
 from isturm.errors import FitUnstable
+from isturm.forward import _step_mesh
 from isturm.refine import invert_regular, rebuild_sigma_tail, recover_q, smooth_grid
 from isturm.regular import check_r2_shift
 
@@ -47,9 +48,8 @@ def test_check_r2_shift():
 def _robin_constants(table):
     """(b0, b0_check): the boundary constant that reconstruct_r2 reports and
     its classical form b0 - sigma(pi), for the M1 = 0 case."""
-    sigma = reconstruct_sigma(table)
-    b0 = reconstruct_r2(table, choose_contour(table.ctx), sigma)[1]["bc_constant"]
-    return b0, b0 - sigma.sigma_pi
+    b0 = reconstruct_r2(table, choose_contour(table.ctx))[1]["bc_constant"]
+    return b0, b0 - reconstruct_sigma(table).values[-1]
 
 
 def test_robin_constants_model_zero():
@@ -105,20 +105,20 @@ def test_smooth_grid_nulls_the_tone():
 def test_recover_q_on_clean_sigma():
     # dominant error: quadratic extrapolation across the right band
     xs = np.linspace(0, PI, 513)
-    q, _ = recover_q(np.sin(xs) + 0j, xs, K=40)
+    q = recover_q(np.sin(xs) + 0j, xs, K=40)
     inner = slice(int(0.05 * 513), int(0.95 * 513))
     assert np.max(np.abs(q[inner] - np.cos(xs[inner]))) < 1e-2
 
 
 def test_recover_q_linear():
     xs = np.linspace(0, PI, 257)
-    q, _ = recover_q(xs.astype(complex), xs, K=40)
+    q = recover_q(xs.astype(complex), xs, K=40)
     assert np.max(np.abs(q - 1.0)) < 1e-12
 
 
 def test_recover_q_zero():
     xs = np.linspace(0, PI, 64)
-    q, _ = recover_q(np.zeros(64, dtype=complex), xs, K=40)
+    q = recover_q(np.zeros(64, dtype=complex), xs, K=40)
     assert np.max(np.abs(q)) < 1e-12
 
 
@@ -141,6 +141,26 @@ def test_grid_sigma_forward_on_its_own_grid():
     assert _rel_gap(twice.alpha, ref.alpha) < alpha_gap / 10
 
 
+@pytest.mark.parametrize("n_s, m", [(257, 1), (257, 2), (129, 3), (33, 5)])
+def test_aligned_mesh_keeps_its_nodes(n_s, m):
+    # a sample node a rounding away from a mesh node is that node: no sliver steps
+    mesh, take = _step_mesh(SigmaGridSamples(np.zeros(n_s)), (n_s - 1) * m + 1)
+    assert len(mesh) == (n_s - 1) * m + 1
+    np.testing.assert_array_equal(take, np.arange(len(mesh)))
+
+
+def test_grid_sigma_kinks_are_mesh_nodes():
+    # a mesh that does not hold the sample nodes takes them as extra nodes, so
+    # no Magnus step crosses a kink (without: 7e-9 and 1.6e-8, with: 2.5e-12)
+    xs = np.linspace(0, PI, 129)
+    prob = ProblemL(SigmaGridSamples(np.sin(xs) + 0.3 * xs**2), Polynomial([1]),
+                    Polynomial([1.5]))
+    ref = forward_spectral_data(prob, 20, 2049)
+    for n_x in (1000, 1024):
+        got = forward_spectral_data(prob, 20, n_x)
+        assert np.max(np.abs(got.lam - ref.lam) / np.abs(ref.lam)) < 1e-10
+
+
 @lru_cache(maxsize=None)
 def _smooth_sd(K):
     """Data of the regular-roundtrip kind of problem: sigma = x + x^2 / 40,
@@ -159,10 +179,9 @@ def _corrected(sd, K, n_x, factor):
     sig0 = smooth_grid(res0.sigma, xs, PI / K)
     sd_p = forward_spectral_data(ProblemL(SigmaGridSamples(sig0), res0.r1, res0.r2), K,
                                  (n_x - 1) * factor + 1)
-    res_p = invert_spectral_data(sd_p, K=K, n_x=n_x, m1=res0.m1)
+    res_p = invert_spectral_data(sd_p, K=K, n_x=n_x)
     sigma = 2 * sig0 - smooth_grid(res_p.sigma, xs, PI / K)
-    q, _ = recover_q(sigma, xs, K)
-    return (rebuild_sigma_tail(sigma, q, xs)[0], res0.r1 + res0.r1 - res_p.r1,
+    return (rebuild_sigma_tail(sigma, recover_q(sigma, xs, K), xs), res0.r1 + res0.r1 - res_p.r1,
             res0.r2 + res0.r2 - res_p.r2)
 
 
