@@ -43,21 +43,14 @@ class SolutionTrace:
     y_quasi: np.ndarray
 
 
-def _step_mesh(sigma: SigmaFunction, n_x: int):
+def _step_mesh(sigma: SigmaFunction, n_x: int) -> np.ndarray:
     """Uniform n_x-node grid over [0, pi] with sigma's breakpoints inserted;
-    one within 1e-12 of a grid node is that node, so no sliver step arises.
-
-    Returns (mesh, take) where take[i] is the mesh index of uniform node i.
-    """
+    one within 1e-12 of a grid node is that node, so no sliver step arises."""
     base = np.linspace(0.0, PI, n_x)
     pts = np.asarray(sigma.breakpoints(), dtype=float)
     pts = pts[(pts > 0.0) & (pts < PI)]
     pts = pts[np.abs(pts - base[np.rint(pts / PI * (n_x - 1)).astype(int)]) > 1e-12]
-    if not pts.size:
-        return base, np.arange(n_x)
-    mesh = np.unique(np.concatenate([base, pts]))
-    take = np.searchsorted(mesh, base)
-    return mesh, take
+    return np.unique(np.concatenate([base, pts])) if pts.size else base
 
 
 def _step_matrices(w11, w12, a, b, P, Q, lam):
@@ -89,12 +82,11 @@ def _step_matrices(w11, w12, a, b, P, Q, lam):
     return cu + t, su * w12[:, None], su * (a[:, None] + b[:, None] * lam), cu - t
 
 
-def _propagate(sigma, lam, y0, yq0, mesh, record_at=None):
+def _propagate(sigma, lam, y0, yq0, mesh):
     """March the Magnus-4 propagator along mesh (ascending or descending).
 
-    lam: (B,) complex.  y0/yq0: scalar or (B,).  record_at: optional array of
-    mesh indices at which to store the state; returns either the endpoint pair
-    or (Y, YQ) of shape (n_rec, B).
+    lam: (B,) complex.  y0/yq0: scalar or (B,).  Returns the state (y, y^[1])
+    at the last mesh node, each of shape (B,).
 
     With sigma frozen at the Gauss values s1, s2 of a step of length h, the
     Magnus element h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] of
@@ -125,14 +117,6 @@ def _propagate(sigma, lam, y0, yq0, mesh, record_at=None):
     P = w11 * w11 + w12 * a
     Q = w12 * b
 
-    recording = record_at is not None
-    if recording:
-        rec_pos = {int(ix): k for k, ix in enumerate(record_at)}
-        Y = np.empty((len(record_at), B), dtype=complex)
-        YQ = np.empty((len(record_at), B), dtype=complex)
-        if 0 in rec_pos:
-            Y[rec_pos[0]], YQ[rec_pos[0]] = y_out, yq_out
-
     with np.errstate(invalid="ignore", over="ignore"):
         for c0 in range(0, B, _BLOCK):
             cols = slice(c0, c0 + _BLOCK)
@@ -142,22 +126,19 @@ def _propagate(sigma, lam, y0, yq0, mesh, record_at=None):
             for r0 in range(0, n_steps, rows):
                 st = slice(r0, r0 + rows)
                 mats = _step_matrices(w11[st], w12[st], a[st], b[st], P[st], Q[st], lam_c)
-                # i: mesh index reached by the step
-                for i, (m11, m12, m21, m22) in enumerate(zip(*mats), r0 + 1):
+                for m11, m12, m21, m22 in zip(*mats):
                     y, yq = m11 * y + m12 * yq, m21 * y + m22 * yq
-                    if recording and i in rec_pos:
-                        Y[rec_pos[i], cols], YQ[rec_pos[i], cols] = y, yq
             y_out[cols], yq_out[cols] = y, yq
 
-    out = (Y, YQ) if recording else (y_out, yq_out)
-    if not all(np.all(np.isfinite(v)) for v in out):
+    if not (np.all(np.isfinite(y_out)) and np.all(np.isfinite(yq_out))):
         raise NonFiniteState("integration overflow; |lambda| too large for step size")
-    return out
+    return y_out, yq_out
 
 
 def integrate_solution(sigma: SigmaFunction, lam, init, direction: str = "ltr",
                        n_x: int = 1024) -> SolutionTrace:
-    """Trace of the quasi-derivative system on the uniform n_x grid.
+    """Trace of the quasi-derivative system on the uniform n_x grid, for the
+    first lam of a batch; the march runs from one uniform node to the next.
 
     init is (y, y^[1]) at x=0 for direction "ltr" or at x=pi for "rtl".
     sigma is never differentiated.
@@ -166,20 +147,26 @@ def integrate_solution(sigma: SigmaFunction, lam, init, direction: str = "ltr",
         raise MalformedInput("n_x must be at least 33")
     if direction not in ("ltr", "rtl"):
         raise ValueError("direction must be 'ltr' or 'rtl'")
-    mesh, take = _step_mesh(sigma, n_x)
+    grid = np.linspace(0.0, PI, n_x)
+    mesh = _step_mesh(sigma, n_x)
+    take = np.searchsorted(mesh, grid)
     if direction == "rtl":
-        mesh = mesh[::-1]
-        take = len(mesh) - 1 - take
-    Y, YQ = _propagate(sigma, lam, init[0], init[1], mesh, record_at=take)
-    return SolutionTrace(grid=np.linspace(0.0, PI, n_x), y=Y[:, 0], y_quasi=YQ[:, 0])
+        mesh, take = mesh[::-1], len(mesh) - 1 - take[::-1]
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    state = [np.broadcast_to(np.asarray(v, dtype=complex), lam.shape) for v in init]
+    trace = [(state[0][0], state[1][0])]
+    for i, j in zip(take[:-1], take[1:]):
+        state = _propagate(sigma, lam, *state, mesh[i:j + 1])
+        trace.append((state[0][0], state[1][0]))
+    y, yq = np.array(trace[::-1] if direction == "rtl" else trace).T
+    return SolutionTrace(grid=grid, y=y, y_quasi=yq)
 
 
 def _psi_zero_batch(prob: ProblemL, lam, n_x):
     """(psi(0), psi^[1](0)) from the backward sweep with psi(pi)=r1, psi^[1](pi)=-r2."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    mesh, _ = _step_mesh(prob.sigma, n_x)
     return _propagate(prob.sigma, lam, poly_eval(prob.r1, lam),
-                      -poly_eval(prob.r2, lam), mesh[::-1])
+                      -poly_eval(prob.r2, lam), _step_mesh(prob.sigma, n_x)[::-1])
 
 
 def char_delta(prob: ProblemL, lam, n_x: int = 1024):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import lam_batch, phi_model, phi_model_dx
-from .errors import FitResidualTooLarge, UnsupportedCase
+from .errors import FitResidualTooLarge, MalformedInput, UnsupportedCase
 from .maineq import MainEquationContext, PhiTable, solve_at_x, solve_on_grid
 from .model import ModelData
 from .problem import Polynomial
@@ -252,6 +252,8 @@ def invert_spectral_data(sd: SpectralData, K: int | None = None,
     m1, case = (sd.m1, sd.case or "M1=M2") if sd.m1 is not None else detect_M1(sd)
     if case != "M1=M2":
         raise UnsupportedCase("reconstruction implements the deg(r1) >= deg(r2) case only")
+    if K < m1 + 2:
+        raise MalformedInput("K must be at least M1 + 2")
     md = ModelData(m1)
     ctx = MainEquationContext(sd, md, K)
     table = solve_on_grid(sd, md, K, n_x=n_x, ctx=ctx)

@@ -369,12 +369,12 @@ def test_loaders_take_mutated_documents(kind, data):
     ("forward", ["--K", "abc"]), ("forward", ["--N", "3"]), (None, []),
     ("forward", ["--K", "0"]), ("forward", ["--K", "1"]), ("invert", ["--K", "0"]),
     ("invert", ["--nx", "2"]), ("invert", ["--N", "x"]), ("invert", ["--N", "0"]),
-    ("invert", ["--N", "3"]),
+    ("invert", ["--N", "3"]), ("invert", ["--K", "1"]),
     ("model", ["--M1", "-1"]), ("model", ["--K", "0"]), ("model", ["--nx", "65"]),
     ("model", ["--M1", "3"]), ("model", ["--M1", "1", "--K", "1"])],
     ids=["K-abc", "forward-N", "no-command", "forward-K0", "forward-K1", "invert-K0",
-         "invert-nx2", "invert-N-x", "invert-N0", "invert-N-unknown", "model-M1-negative",
-         "model-K0", "model-nx", "model-M1-3", "model-K-splits-cluster"])
+         "invert-nx2", "invert-N-x", "invert-N0", "invert-N-unknown", "invert-K1",
+         "model-M1-negative", "model-K0", "model-nx", "model-M1-3", "model-K-splits-cluster"])
 def test_bad_arguments_exit_code(tmp_path, capsys, command, extra):
     # every other argument is valid, so the one under test decides the code
     configs = {"forward": _write_problem(tmp_path / "problem.json", [1], [1]),
@@ -393,6 +393,19 @@ def test_bad_arguments_exit_code(tmp_path, capsys, command, extra):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the rename onto a directory fails after the temporary file is written;
+    # write_json_atomic removes it before the error reaches the exit-code table
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["model", "--K", "5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert not any(out.iterdir())
 
 
 def test_library_range_checks_are_malformed_input():

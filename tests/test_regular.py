@@ -144,9 +144,9 @@ def test_grid_sigma_forward_on_its_own_grid():
 @pytest.mark.parametrize("n_s, m", [(257, 1), (257, 2), (129, 3), (33, 5)])
 def test_aligned_mesh_keeps_its_nodes(n_s, m):
     # a sample node a rounding away from a mesh node is that node: no sliver steps
-    mesh, take = _step_mesh(SigmaGridSamples(np.zeros(n_s)), (n_s - 1) * m + 1)
-    assert len(mesh) == (n_s - 1) * m + 1
-    np.testing.assert_array_equal(take, np.arange(len(mesh)))
+    n_x = (n_s - 1) * m + 1
+    np.testing.assert_array_equal(_step_mesh(SigmaGridSamples(np.zeros(n_s)), n_x),
+                                  np.linspace(0.0, PI, n_x))
 
 
 def test_grid_sigma_kinks_are_mesh_nodes():
