@@ -32,6 +32,10 @@ _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 # elements (steps x lambda) per block of step matrices in _propagate
 _BLOCK = 4096
 _N_QUAD = 64  # midpoint nodes of each weight-number circle
+_RATIO_PER_RHO = 2.0  # master-box edge points per unit of rho (_master_count)
+# step in rho of the positive real scan, a quarter of the asymptotic gap
+# between eigenvalues; a pair inside one step gives no sign change
+_SCAN_DRHO = 0.25
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,8 @@ def _contour_moments(f, polylines, orders):
 
 def _edge_points(z0, z1, n_min=16, per_rho=14.0):
     """Points on the segment [z0, z1) spaced uniformly in rho = sqrt(lambda)
-    arc length, so the phase of the characteristic function never aliases."""
+    arc length; 14 per unit of rho keep the phase of the characteristic
+    function, which turns by pi per unit, from aliasing."""
     t_fine = np.linspace(0.0, 1.0, 257)
     z_fine = z0 + t_fine * (z1 - z0)
     arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(sqrt_lambda(z_fine))))])
@@ -272,10 +277,10 @@ def _edge_points(z0, z1, n_min=16, per_rho=14.0):
     return z0 + t * (z1 - z0)
 
 
-def _rect_points(corners, n_side=16):
+def _rect_points(corners, n_side=16, per_rho=14.0):
     a, b, c, d = corners  # Re in [a,b], Im in [c,d]
     vv = [a + 1j * c, b + 1j * c, b + 1j * d, a + 1j * d]
-    return np.concatenate([_edge_points(vv[i], vv[(i + 1) % 4], n_min=n_side)
+    return np.concatenate([_edge_points(vv[i], vv[(i + 1) % 4], n_side, per_rho)
                            for i in range(4)] + [[vv[0]]])
 
 
@@ -299,6 +304,45 @@ def _box_count(f, boxes):
     """Root count of f in each rectangle, None where it is not clean; one batch."""
     return [None if m is None else m[0]
             for m in _contour_moments(f, [_rect_points(c) for c in boxes], 0)]
+
+
+def _model(prob: ProblemL):
+    """(Delta~, count): the characteristic function of the model problem of
+    prob's case (sigma = 0 with r1 = lam^M1, r2 = 0 when M1 = M2, with r1 = 0,
+    r2 = lam^M2 when M1 = M2 - 1), and the number of its zeros in a box
+    (a, b, c, d) with a < 0 < b and c < 0 < d whose edge holds none.
+
+    Delta~ = -lam^M1 rho sin(rho pi) has zeros at lam = 0 (order M1 + 1) and
+    rho = 1, 2, ...; Delta~ = lam^M2 cos(rho pi) at lam = 0 (order M2) and
+    rho = 1/2, 3/2, ....  Those below rho = sqrt(b) are rho = k - frac with
+    k = 1 .. ceil(sqrt(b) + frac) - 1."""
+    if prob.case == "M1=M2":
+        order, frac = prob.m1 + 1, 0.0
+
+        def model(lam):
+            rho = sqrt_lambda(lam)
+            return -lam ** prob.m1 * rho * np.sin(rho * PI)
+    else:
+        order, frac = prob.m2, 0.5
+
+        def model(lam):
+            return lam ** prob.m2 * np.cos(sqrt_lambda(lam) * PI)
+    return model, lambda box: order + int(np.ceil(np.sqrt(box[1]) + frac)) - 1
+
+
+def _master_count(prob: ProblemL, f, box):
+    """Root count of f = Delta in the master box, None where it is not clean.
+
+    The comparison-function form of the argument principle (Kravanja & Van
+    Barel, Computing the Zeros of Analytic Functions, LNM 1727, 2000): the
+    model's zero count in the box plus the winding of Delta / Delta~.  Off
+    the real axis the ratio tends to a constant as |rho| grows, so
+    _RATIO_PER_RHO edge points per unit of rho track its phase, where
+    Delta's own phase needs 14."""
+    model, model_count = _model(prob)
+    moms = _contour_moments(lambda z: f(z) / model(z),
+                            [_rect_points(box, per_rho=_RATIO_PER_RHO)], 0)[0]
+    return None if moms is None else model_count(box) + moms[0]
 
 
 def _roots_from_moments(count, moms):
@@ -495,10 +539,11 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> np.ndarray:
     """First K eigenvalues as a complex array, ordered by the asymptotic
     numbering, a multiple eigenvalue repeated.
 
-    A real problem brackets the sign changes of Delta on a real grid and
-    closes each bracket to rounding by Illinois regula falsi alone.
-    Otherwise, or when that misses some of the K roots the master box count
-    holds (no sign change, or a bracket Illinois did not close), the roots
+    A real problem brackets the sign changes of Delta on a real grid, steps
+    of _SCAN_DRHO in rho on the positive axis, and closes each bracket to
+    rounding by Illinois regula falsi alone.  Otherwise, or when that misses
+    some of the K roots the master box count (_master_count) holds (no sign
+    change, or a bracket Illinois did not close), the roots
     from n0 = ceil(shift + 2) on are seeded from rho_n ~ n - shift, polished
     by secant and certified by one winding circle each, all in one batch,
     and the low zone left of them (with any index whose certificate fails)
@@ -524,13 +569,13 @@ def find_eigenvalues(prob: ProblemL, K: int, n_x: int = 1024) -> np.ndarray:
     if prob.is_real:
         t_grid = np.arange(0.02, t_neg, 0.02)
         roots = _real_roots(delta, np.concatenate([-(t_grid[::-1] ** 2),
-                                                   np.arange(1e-4, top_rho, 0.02) ** 2]))
+                                                   np.arange(1e-4, top_rho, _SCAN_DRHO) ** 2]))
 
     # master region count check
     master = (-(t_neg**2) - 1.0, top_rho**2, -max(6.0, 1.5 * top_rho),
               max(6.0, 1.5 * top_rho))
     for grow in range(3):
-        total = _box_count(delta, [master])[0]
+        total = _master_count(prob, delta, master)
         if total is not None:
             break
         # nudge boundaries off any zero; the top edge moves gently so the

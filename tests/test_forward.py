@@ -390,14 +390,7 @@ def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
         # list.append returns None: the seeded path never offers roots
         monkeypatch.setattr(forward, "_seeded_roots", lambda *args: rejected.append(0))
     elif fallback == "master-nudged":
-        plain_count = forward._box_count
-
-        def unclean_once(f, boxes):  # the first count is the master box's
-            if not rejected:
-                rejected.append(boxes[0])
-                return [None]
-            return plain_count(f, boxes)
-        monkeypatch.setattr(forward, "_box_count", unclean_once)
+        rejected = _nudged_master_counts(monkeypatch)
     elif fallback == "seeded-raises":
         def no_convergence(*args):
             rejected.append(0)
@@ -419,8 +412,84 @@ def test_seeded_search_fallbacks_find_the_same_roots(monkeypatch, fallback):
         monkeypatch.setattr(forward, "_seeded_roots", seeded)
     got = find_eigenvalues(prob, 12, 512)
     assert rejected
+    if fallback == "master-nudged":
+        # the rejected count is the master box's (t_neg = 4, top_rho = 11.5),
+        # and the one after it counts the nudged box, which holds it
+        (master, none), (nudged, total) = rejected
+        assert master == (-17.0, 11.5**2, -17.25, 17.25) and none is None
+        assert nudged[0] < master[0] and nudged[1] > master[1] and total == 12
     assert group_multiplicities(got)[1] == (1,) * 12
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def _nudged_master_counts(monkeypatch):
+    """List that gains (box, count) per master count of the forward module;
+    the first count is rejected as not clean, so the master box is nudged."""
+    seen = []
+    plain = forward._master_count
+
+    def unclean_once(prob, f, box):
+        seen.append((box, plain(prob, f, box) if seen else None))
+        return seen[-1][1]
+    monkeypatch.setattr(forward, "_master_count", unclean_once)
+    return seen
+
+
+@pytest.mark.parametrize("sigma, r1, r2, K", [
+    (SigmaStep(1.0, PI / 2), [1.0], [1.0], 30),
+    (SigmaStep(1.0, PI / 2), [0.9, 1.0], [1.0], 30),
+    (SigmaStep(1.0, PI / 2), [1.0, 0.5, 1.0], [1.0], 30),
+    (SigmaZero(), [1.0], [0.7, 1.0], 12),
+    (SigmaStep(1.0, PI / 2), [0.3, 1.0], [-0.5, 0.0, 1.0], 30),
+], ids=["M1=M2=0", "M1=M2=1", "M1=M2=2", "M1=M2-1,M2=1", "M1=M2-1,M2=2"])
+def test_master_count_against_the_model(monkeypatch, sigma, r1, r2, K):
+    # on the master box and on a nudged one: the model's closed-form zero
+    # count is the argument-principle count of Delta~ itself, and the model
+    # count plus the winding of Delta / Delta~ is K.  In case M1 = M2 - 1 the
+    # comparison is lam^M2 cos(rho pi); -rho sin(rho pi) gives no clean
+    # winding on the sigma = 0, r2 = lam + 0.7 problem
+    prob = ProblemL(sigma, Polynomial(r1), Polynomial(r2))
+    model, model_count = forward._model(prob)
+    plain = forward._master_count
+    seen = _nudged_master_counts(monkeypatch)
+    find_eigenvalues(prob, K, 512)
+    assert len(seen) == 2
+    for box, _ in seen:
+        assert model_count(box) == forward._box_count(model, [box])[0]
+        assert plain(prob, lambda z: char_delta(prob, z, 512), box) == K
+
+
+def test_close_real_pair_takes_the_seeded_path(monkeypatch):
+    # r1 = lam - 1.9^2 with a weak Robin coupling puts two real roots at
+    # rho ~ 1.907 and 1.992, inside one step of the positive real scan: Delta
+    # does not change sign across the step, the scan brackets K - 2 roots and
+    # the seeded path finds all K, those of the 0.02 scan's brackets
+    prob = ProblemL(SigmaStep(1.0, PI / 2), Polynomial([-1.9**2, 1.0]), Polynomial([-0.02]))
+    seeded = []
+    plain = forward._seeded_roots
+    monkeypatch.setattr(forward, "_seeded_roots", lambda *args: seeded.append(1) or plain(*args))
+    got = find_eigenvalues(prob, 8, 512)
+    rho = np.sqrt(np.sort(got.real[got.real > 0]))
+    step = np.floor((rho - 1e-4) / forward._SCAN_DRHO)
+    assert np.any(np.diff(step) == 0) and seeded
+    monkeypatch.setattr(forward, "_SCAN_DRHO", 0.02)
+    seeded.clear()
+    want = find_eigenvalues(prob, 8, 512)
+    assert not seeded and np.all(want.imag == 0)
+    assert group_multiplicities(got)[1] == (1,) * 8
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+def test_step_k160_search_point_budget(monkeypatch):
+    # the benchmark's `forward` step problem at seed 0, K = 160: the 0.25 scan
+    # in rho, Illinois and the ratio count take about 2,450 lambda points,
+    # where the 0.02 scan and a count of Delta's own winding took 13,743
+    prob = ProblemL(SigmaStep(0.9291780450464647, 1.424743209941743),
+                    Polynomial([1]), Polynomial([1]))
+    calls = _count_batches(monkeypatch)
+    lam = find_eigenvalues(prob, 160, 1024)
+    assert group_multiplicities(lam)[1] == (1,) * 160
+    assert sum(calls) <= 3000
 
 
 @pytest.mark.parametrize("second", [100.0004, 100.0], ids=["distinct", "double"])
